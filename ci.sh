@@ -130,4 +130,15 @@ cargo run -p treequery-bench --release --bin harness -q -- \
     serve-client "$TENANT_PORT" crates/serve/transcripts/ci_drain.jsonl
 wait "$TENANT_PID"
 
+echo "==> service benchmark self-tests + wire parity gate (svcbench)"
+# The benchmark's own unit tests, then a short traced scan_large run. Its
+# answer oracle checks every reply, and its reply-render parity check
+# compares the server's bytes with the reference Json render (ignoring
+# id, wall_us and trace_id), so the session's direct row writer must
+# stay byte-identical to it. The run exits 1 on any oracle mismatch or
+# parity failure.
+cargo test --release --offline --manifest-path svcbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path svcbench/Cargo.toml -- \
+    --workload scan_large --seed 2 --seconds 2 --trace 1
+
 echo "CI OK"

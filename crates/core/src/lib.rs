@@ -140,6 +140,17 @@ impl CqAnswer {
     }
 }
 
+/// The plan [`Engine::plan`] chose for one lowered query, ready for
+/// [`Engine::eval_planned_with_cancel`].
+#[derive(Clone, Debug)]
+pub struct ChosenPlan {
+    /// The plan, shared with the plan cache.
+    pub plan: std::sync::Arc<ExplainedPlan>,
+    /// Whether the lookup hit the plan cache (the flight recorder tags
+    /// records with it).
+    pub cache_hit: bool,
+}
+
 /// Engine tunables. [`Default`] enables the plan cache and lets
 /// [`Engine::eval_batch`] size its worker pool from the machine.
 #[derive(Clone, Debug, PartialEq)]
@@ -286,16 +297,14 @@ impl<'t> Engine<'t> {
     /// decided it.
     pub fn explain(&self, query: &Query) -> Result<ExplainedPlan, EngineError> {
         let ir = self.lower(query)?;
-        Ok((*self.plan_for(&ir)).clone())
+        Ok((*self.plan(&ir).plan).clone())
     }
 
-    fn plan_for(&self, ir: &QueryIr) -> std::sync::Arc<ExplainedPlan> {
-        self.plan_for_traced(ir).0
-    }
-
-    /// [`plan_for`](Self::plan_for) plus whether the plan came from the
-    /// cache (the flight recorder tags records with it).
-    fn plan_for_traced(&self, ir: &QueryIr) -> (std::sync::Arc<ExplainedPlan>, bool) {
+    /// Plans an already-lowered query: one plan-cache lookup (planning
+    /// on a miss). Pair it with [`Engine::eval_planned_with_cancel`] to
+    /// look at the plan — its cost class, say — before running it
+    /// without a second lookup.
+    pub fn plan(&self, ir: &QueryIr) -> ChosenPlan {
         let planned = std::cell::Cell::new(false);
         let compute = || {
             let _span = treequery_obs::span("pipeline.plan");
@@ -311,11 +320,14 @@ impl<'t> Engine<'t> {
                 &self.metrics,
                 compute,
             );
-            let hit = !planned.get();
-            span.record_bool("hit", hit);
-            (plan, hit)
+            let cache_hit = !planned.get();
+            span.record_bool("hit", cache_hit);
+            ChosenPlan { plan, cache_hit }
         } else {
-            (std::sync::Arc::new(compute()), false)
+            ChosenPlan {
+                plan: std::sync::Arc::new(compute()),
+                cache_hit: false,
+            }
         }
     }
 
@@ -342,7 +354,7 @@ impl<'t> Engine<'t> {
         let started = std::time::Instant::now();
         let run = treequery_obs::with_recorder(recorder.clone(), || {
             let ir = self.lower(query)?;
-            let chosen = self.plan_for(&ir);
+            let chosen = self.plan(&ir).plan;
             let output = plan::exec::execute(&ir, &chosen, self.tree, &self.metrics)?;
             Ok(((*chosen).clone(), output))
         });
@@ -399,6 +411,23 @@ impl<'t> Engine<'t> {
         tree::cancel::with_token(token, || self.eval_ir(ir))
     }
 
+    /// [`Engine::eval_ir_with_cancel`] with the plan already chosen by
+    /// [`Engine::plan`] for this `ir`: no second plan-cache lookup. The
+    /// flight record still tags whether that plan was a cache hit.
+    pub fn eval_planned_with_cancel(
+        &self,
+        ir: &QueryIr,
+        chosen: &ChosenPlan,
+        token: &CancelToken,
+    ) -> Result<QueryOutput, EngineError> {
+        tree::cancel::with_token(token, || {
+            if treequery_obs::flight::enabled() {
+                return self.eval_ir_recorded(ir, Some(chosen));
+            }
+            plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics)
+        })
+    }
+
     /// Evaluates an already-lowered query (plan-cache aware). While the
     /// [`treequery_obs::flight`] recorder is installed, the evaluation is
     /// assigned a query id and leaves a per-query record (plan choice,
@@ -406,17 +435,18 @@ impl<'t> Engine<'t> {
     /// disabled path costs one relaxed atomic load.
     pub fn eval_ir(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
         if treequery_obs::flight::enabled() {
-            return self.eval_ir_recorded(ir);
+            return self.eval_ir_recorded(ir, None);
         }
-        let chosen = self.plan_for(ir);
-        plan::exec::execute(ir, &chosen, self.tree, &self.metrics)
+        let chosen = self.plan(ir);
+        plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics)
     }
 
     /// The flight-recorded evaluation path: scope a query id around
-    /// planning + execution (worker pools propagate it, so cross-worker
-    /// chunk spans attribute here too), then collect the buffered spans
-    /// and submit the record. Out of line — the common disabled path
-    /// should pay only the `enabled()` load.
+    /// planning (unless the caller already chose the plan) + execution
+    /// (worker pools propagate it, so cross-worker chunk spans attribute
+    /// here too), then collect the buffered spans and submit the record.
+    /// Out of line — the common disabled path should pay only the
+    /// `enabled()` load.
     ///
     /// When a caller (the query service) already opened a query scope
     /// around this evaluation — to attribute its own admission/lock
@@ -424,7 +454,11 @@ impl<'t> Engine<'t> {
     /// drawing a fresh one, so the wire request and the evaluation are
     /// one record, not two.
     #[cold]
-    fn eval_ir_recorded(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
+    fn eval_ir_recorded(
+        &self,
+        ir: &QueryIr,
+        chosen: Option<&ChosenPlan>,
+    ) -> Result<QueryOutput, EngineError> {
         use treequery_obs::flight;
         let ambient = flight::current_query();
         let id = if ambient != 0 {
@@ -432,19 +466,23 @@ impl<'t> Engine<'t> {
         } else {
             flight::begin_query()
         };
+        let choose = || chosen.cloned().unwrap_or_else(|| self.plan(ir));
         if id == 0 {
             // The recorder was uninstalled between the enabled check and
             // the id draw; run unrecorded.
-            let chosen = self.plan_for(ir);
-            return plan::exec::execute(ir, &chosen, self.tree, &self.metrics);
+            return plan::exec::execute(ir, &choose().plan, self.tree, &self.metrics);
         }
         let before = self.metrics.snapshot();
         let started = std::time::Instant::now();
-        let (result, chosen, cache_hit) = flight::with_current_query(id, || {
-            let (chosen, cache_hit) = self.plan_for_traced(ir);
-            let result = plan::exec::execute(ir, &chosen, self.tree, &self.metrics);
-            (result, chosen, cache_hit)
+        let (result, chosen) = flight::with_current_query(id, || {
+            let chosen = choose();
+            let result = plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics);
+            (result, chosen)
         });
+        let ChosenPlan {
+            plan: chosen,
+            cache_hit,
+        } = chosen;
         let wall_ns = started.elapsed().as_nanos() as u64;
         let (spans, dropped_spans) = flight::take_spans(id);
         // The quiesced re-read tags records captured under concurrent
@@ -681,7 +719,7 @@ impl<'t> Engine<'t> {
     /// backtracking over a large rewrite union.
     pub fn cq_plan(&self, q: &cq::Cq) -> CqPlan {
         let ir = plan::ir::lower_cq(q);
-        match self.plan_for(&ir).strategy {
+        match self.plan(&ir).plan.strategy {
             Strategy::CqAcyclic => CqPlan::Acyclic,
             Strategy::CqXProperty(order) => CqPlan::XProperty(order),
             Strategy::CqRewriteUnion(k) => CqPlan::RewriteUnion(k),
@@ -943,6 +981,27 @@ mod tests {
             .unwrap();
         assert_eq!(d.source, SourceLang::Datalog);
         assert_eq!(d.strategy, Strategy::DatalogGround);
+    }
+
+    #[test]
+    fn planned_eval_lowers_once_and_looks_the_plan_up_once() {
+        let t = engine_fixture();
+        let e = Engine::new(&t);
+        let q = Query::xpath("//a[b]");
+        let expected = e.eval(&q).unwrap();
+        e.reset_metrics();
+        for _ in 0..2 {
+            let ir = e.lower(&q).unwrap();
+            let chosen = e.plan(&ir);
+            assert!(chosen.cache_hit, "the eval above cached the plan");
+            let out = e
+                .eval_planned_with_cancel(&ir, &chosen, &CancelToken::new())
+                .unwrap();
+            assert_eq!(out, expected);
+        }
+        let m = e.metrics();
+        assert_eq!(m.queries_lowered, 2);
+        assert_eq!(m.plan_cache_hits + m.plan_cache_misses, 2);
     }
 
     #[test]

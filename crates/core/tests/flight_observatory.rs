@@ -83,6 +83,35 @@ fn records_capture_query_strategy_rows_and_cache() {
     assert!(recent.iter().all(|r| r.wall_ns > 0));
 }
 
+/// A plan chosen up front with `Engine::plan` is executed without a
+/// second cache lookup, and the flight record still says whether that
+/// one lookup hit.
+#[test]
+fn planned_evaluation_records_the_lookup_it_was_given() {
+    let _guard = flight_lock();
+    flight::install(FlightConfig::default());
+    let tree = small_tree(5, 300);
+    let engine = engine_with(&tree, 1, None);
+    let token = treequery_core::CancelToken::new();
+    let before = engine.metrics();
+    for _ in 0..2 {
+        let ir = engine.lower(&Query::xpath("//a[b]")).unwrap();
+        let chosen = engine.plan(&ir);
+        engine
+            .eval_planned_with_cancel(&ir, &chosen, &token)
+            .unwrap();
+    }
+    let recent = flight::recent();
+    flight::uninstall();
+    let counters = engine.metrics().delta_since(&before);
+
+    assert_eq!(recent.len(), 2);
+    assert!(!recent[0].cache_hit, "first lookup plans");
+    assert!(recent[1].cache_hit, "second lookup hits");
+    assert_eq!(counters.queries_lowered, 2);
+    assert_eq!(counters.plan_cache_hits + counters.plan_cache_misses, 2);
+}
+
 #[test]
 fn slow_log_retains_explain_analyze_and_a_reproducer() {
     let _guard = flight_lock();

@@ -142,9 +142,9 @@ pub struct QueryRecord {
     /// nanoseconds (0 for direct engine use and fast-lane admissions
     /// that never waited).
     pub admission_wait_ns: u64,
-    /// Serialized response size in bytes, attached after the fact by
-    /// [`annotate_response`] (0 until then, and always 0 for direct
-    /// engine use).
+    /// Bytes of the reply's single wire write (body plus newline),
+    /// attached after the fact by [`annotate_response`] (0 until then,
+    /// and always 0 for direct engine use).
     pub resp_bytes: u64,
 }
 
@@ -464,12 +464,12 @@ pub fn submit(record: QueryRecord, slow_detail: Option<SlowDetail>) {
 }
 
 /// Attaches wire-side response accounting to an already-submitted
-/// record: the serialized response size, and (when `serialize_ns` is
-/// non-zero) a synthetic `serve.serialize` span on the same tracing
-/// time base as the real spans. Serialization necessarily happens
-/// *after* the engine submits the record — the response body is built
-/// from the evaluation result — so the rings are patched in place; the
-/// record with `id` may already be evicted, in which case this is a
+/// record: the bytes of the reply's single wire write, and (when
+/// `serialize_ns` is non-zero) a synthetic `serve.serialize` span on the
+/// same tracing time base as the real spans. Serialization necessarily
+/// happens *after* the engine submits the record — the response body is
+/// built from the evaluation result — so the rings are patched in place;
+/// the record with `id` may already be evicted, in which case this is a
 /// no-op. Ring tickets are untouched, so eviction order is preserved.
 pub fn annotate_response(id: u64, resp_bytes: u64, serialize_ns: u64) {
     let Some(state) = state() else { return };

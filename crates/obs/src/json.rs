@@ -5,6 +5,8 @@
 //! `explain_analyze().to_json()`) hand-roll their JSON through this small
 //! value type instead of depending on `serde`.
 
+use std::io::Write;
+
 /// A JSON value. Object keys keep insertion order (reports stay diffable
 /// across runs).
 #[derive(Clone, Debug, PartialEq)]
@@ -94,49 +96,74 @@ impl Json {
 
     /// Renders to a compact JSON string.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        String::from_utf8(out).expect("the JSON writer emits UTF-8")
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering to `out` — the allocation-free form
+    /// of [`Json::render`] for callers that reuse one output buffer.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::U64(v) => Json::write_u64(out, *v),
+            Json::I64(v) => {
+                if *v < 0 {
+                    out.push(b'-');
+                }
+                Json::write_u64(out, v.unsigned_abs());
+            }
             Json::F64(v) => {
                 if v.is_finite() {
-                    // `{:?}` prints shortest-round-trip floats.
-                    out.push_str(&format!("{v:?}"));
+                    // `{:?}` prints shortest-round-trip floats; formatting
+                    // straight into the buffer allocates nothing.
+                    let _ = write!(out, "{v:?}");
                 } else {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.write(out);
+                    item.write_to(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
+    }
+
+    /// Appends the decimal digits of `v` to `out` without allocating — the
+    /// integer writer shared by [`Json::write_to`] and the query service's
+    /// direct row writer.
+    pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+        let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
     }
 }
 
@@ -186,20 +213,31 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` as a quoted, escaped JSON string.
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut plain = 0; // start of the pending run that needs no escape
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            b if b < 0x20 => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[plain..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.extend_from_slice(escape);
         }
+        plain = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[plain..]);
+    out.push(b'"');
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -480,6 +518,99 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "\"unterminated", "1 2", "nul"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// The renderer before it wrote straight into a byte buffer: one
+    /// `String` per number and per `\u` escape. The direct writer must
+    /// stay byte-identical to it.
+    fn reference_render(v: &Json) -> String {
+        fn esc(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        match v {
+            Json::Null => "null".to_owned(),
+            Json::Bool(b) => b.to_string(),
+            Json::U64(v) => v.to_string(),
+            Json::I64(v) => v.to_string(),
+            Json::F64(v) if v.is_finite() => format!("{v:?}"),
+            Json::F64(_) => "null".to_owned(),
+            Json::Str(s) => esc(s),
+            Json::Arr(items) => {
+                let parts: Vec<String> = items.iter().map(reference_render).collect();
+                format!("[{}]", parts.join(","))
+            }
+            Json::Obj(fields) => {
+                let parts: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}:{}", esc(k), reference_render(v)))
+                    .collect();
+                format!("{{{}}}", parts.join(","))
+            }
+        }
+    }
+
+    #[test]
+    fn number_and_escape_edges_match_the_reference() {
+        let v = Json::Arr(vec![
+            Json::U64(0),
+            Json::U64(9),
+            Json::U64(10),
+            Json::U64(u64::MAX),
+            Json::I64(0),
+            Json::I64(-1),
+            Json::I64(i64::MIN),
+            Json::I64(i64::MAX),
+            Json::F64(0.1),
+            Json::F64(-0.0),
+            Json::F64(1e300),
+            Json::F64(f64::NAN),
+            Json::F64(f64::INFINITY),
+            Json::Str("\u{0}\u{1f}\u{7f} é \"q\" \\ \r\n\t ✓".to_owned()),
+            Json::obj().set("k\u{2}", Json::Null).set("b", false),
+        ]);
+        assert_eq!(v.render(), reference_render(&v));
+        let mut appended = b"prefix:".to_vec();
+        v.write_to(&mut appended);
+        assert_eq!(
+            appended,
+            format!("prefix:{}", reference_render(&v)).into_bytes()
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn direct_writer_is_byte_identical_to_the_reference(
+            u in proptest::prelude::any::<u64>(),
+            i in proptest::prelude::any::<i64>(),
+            bits in proptest::prelude::any::<u64>(),
+            // Code points biased towards ASCII controls and quotes, with
+            // some multi-byte ones; invalid scalars are skipped.
+            cps in proptest::collection::vec(0u32..0x1_0000, 0..16),
+        ) {
+            let s: String = cps
+                .iter()
+                .filter_map(|&c| char::from_u32(if c % 3 == 0 { c % 0x60 } else { c }))
+                .collect();
+            let v = Json::obj()
+                .set("u", u)
+                .set("i", i)
+                .set("f", f64::from_bits(bits))
+                .set(s.clone(), Json::Arr(vec![Json::Str(s), Json::U64(u)]));
+            proptest::prop_assert_eq!(v.render(), reference_render(&v));
         }
     }
 

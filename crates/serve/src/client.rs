@@ -30,7 +30,7 @@
 //!   on any format error.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ pub struct ReplayReport {
 
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     /// Responses sent by the server but not yet read (`_async` sends).
     pending: usize,
 }
@@ -68,18 +68,23 @@ impl Conn {
                 Err(e) => return Err(format!("connect to port {port}: {e}")),
             }
         };
+        // One request, then wait for its reply: Nagle could only delay it.
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         let read_half = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Conn {
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            writer: stream,
             pending: 0,
         })
     }
 
+    /// Sends one request line: body and newline in a single write.
     fn send(&mut self, req: &Json) -> Result<(), String> {
+        let mut line = Vec::new();
+        req.write_to(&mut line);
+        line.push(b'\n');
         self.writer
-            .write_all(req.render().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(&line)
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send: {e}"))
     }

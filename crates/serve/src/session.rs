@@ -20,15 +20,23 @@
 //! its full span tree in `/flight` after the fact. The session's tenant
 //! (declared at `hello`) labels the usage counters and rides along on
 //! the same flight record.
+//!
+//! The wire: every reply is built once, rendered once into the session's
+//! reused output buffer, and written with one `write_all` holding the body
+//! and its `\n`; sessions set `TCP_NODELAY`. A reply's newline written
+//! apart from its body would go out as a 1-byte segment that Nagle's
+//! algorithm holds until the client's delayed ACK (about 40 ms on Linux).
+//! Query answers skip the `Json` tree entirely: their rows are written
+//! straight from the result (`write_answer`).
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treequery_core::{CancelReason, CostClass, EngineError, Query, QueryOutput};
+use treequery_core::{CancelReason, CostClass, EngineError, NodeId, Query, QueryOutput};
 use treequery_obs::{flight, span, Json};
 use treequery_tree::{parse_script, parse_term, xmark_document, CancelToken, Tree, XmarkConfig};
 
@@ -42,6 +50,10 @@ const MAX_TRACE_ID_BYTES: usize = 128;
 const MAX_TENANT_BYTES: usize = 64;
 /// The tenant a connection accounts to until `hello` declares one.
 const ANONYMOUS_TENANT: &str = "anonymous";
+/// Most capacity a session's output buffer keeps between replies: one
+/// megabyte-sized answer does not pin its buffer for the rest of the
+/// connection.
+const RETAINED_REPLY_BYTES: usize = 64 * 1024;
 
 /// What the session loop does after sending a response.
 pub(crate) enum Flow {
@@ -69,47 +81,67 @@ impl Default for SessionState {
     }
 }
 
+/// What [`route`] produced for one request.
+pub(crate) enum Reply {
+    /// A structured body; the router stamps its trace id and renders it.
+    Body(Json),
+    /// A query answer already rendered into the session's output buffer
+    /// as a complete wire line, trace id included.
+    Written,
+}
+
+impl From<Json> for Reply {
+    fn from(body: Json) -> Reply {
+        Reply::Body(body)
+    }
+}
+
 /// Serves one accepted connection to completion.
 pub(crate) fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     shared.sessions_opened.inc();
     shared.sessions_active.add(1);
     let _active = DecrementOnDrop(&shared);
+    // Strict request/response: Nagle's algorithm can only delay a reply.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     let mut sess = SessionState::default();
+    let mut out = Vec::new();
 
     loop {
         let frame = match proto::read_frame(&mut reader) {
             Ok(f) => f,
             Err(_) => return, // connection error; nothing to say
         };
-        let req = match frame {
+        let flow = match frame {
             Frame::Eof => return,
             Frame::Oversized => {
                 let body = proto::error(
                     ErrorCode::OversizedFrame,
                     format!("line exceeds {} bytes", proto::MAX_LINE_BYTES),
                 );
-                if send(&shared, &mut writer, &body).is_err() {
-                    return;
-                }
-                continue;
+                render_line(&shared, &body, &mut out);
+                Flow::Continue
             }
             Frame::Malformed(msg) => {
-                let body = proto::error(ErrorCode::MalformedFrame, msg);
-                if send(&shared, &mut writer, &body).is_err() {
-                    return;
-                }
-                continue;
+                render_line(
+                    &shared,
+                    &proto::error(ErrorCode::MalformedFrame, msg),
+                    &mut out,
+                );
+                Flow::Continue
             }
-            Frame::Value(v) => v,
+            Frame::Value(req) => route(&shared, &req, &mut sess, &mut out),
         };
-        let (body, flow) = route(&shared, &req, &mut sess);
-        if send(&shared, &mut writer, &body).is_err() {
+        if send(&mut writer, &out).is_err() {
             return;
+        }
+        if out.capacity() > RETAINED_REPLY_BYTES {
+            out.clear();
+            out.shrink_to(RETAINED_REPLY_BYTES);
         }
         match flow {
             Flow::Continue => {}
@@ -129,13 +161,22 @@ impl Drop for DecrementOnDrop<'_> {
     }
 }
 
-fn send(shared: &Shared, writer: &mut impl Write, body: &Json) -> std::io::Result<()> {
+/// Puts one rendered reply line on the wire: a single `write_all` of the
+/// body and its newline, then a flush.
+fn send(writer: &mut impl Write, line: &[u8]) -> io::Result<()> {
+    writer.write_all(line)?;
+    writer.flush()
+}
+
+/// Renders a structured reply as one wire line into `out`, replacing
+/// what it held, and counts the reply's error code if it has one.
+fn render_line(shared: &Shared, body: &Json, out: &mut Vec<u8>) {
     if let Some(code) = body.get("code").and_then(Json::as_str) {
         shared.errors.with_label(code).inc();
     }
-    writer.write_all(body.render().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    out.clear();
+    body.write_to(out);
+    out.push(b'\n');
 }
 
 /// The request's trace id: the client's own if present and sane, a fresh
@@ -169,34 +210,49 @@ fn hello_tenant(req: &Json) -> Result<Option<String>, Json> {
     }
 }
 
-/// Dispatches one parsed request. Pure with respect to the connection:
-/// all I/O stays in the caller, which is what the protocol tests lean
-/// on. Every reply — success or error — is stamped with the request's
-/// trace id, and error codes are charged to the session's tenant.
-pub(crate) fn route(shared: &Shared, req: &Json, sess: &mut SessionState) -> (Json, Flow) {
-    let (body, flow, trace_id) = match resolve_trace_id(shared, req) {
+/// Dispatches one parsed request and renders its reply line into `out`.
+/// Pure with respect to the connection: all I/O stays in the caller,
+/// which is what the protocol tests lean on. Every reply — success or
+/// error — is stamped with the request's trace id, and error codes are
+/// charged to the session's tenant.
+pub(crate) fn route(
+    shared: &Shared,
+    req: &Json,
+    sess: &mut SessionState,
+    out: &mut Vec<u8>,
+) -> Flow {
+    let (reply, flow, trace_id) = match resolve_trace_id(shared, req) {
         Ok(trace_id) => {
-            let (body, flow) = dispatch(shared, req, sess, &trace_id);
-            (body, flow, trace_id)
+            let (reply, flow) = dispatch(shared, req, sess, &trace_id, out);
+            (reply, flow, trace_id)
         }
         Err(e) => {
             shared.requests.with_label("invalid").inc();
-            (e, Flow::Continue, shared.make_trace_id())
+            (e.into(), Flow::Continue, shared.make_trace_id())
         }
     };
-    if sess.hello_done {
-        if let Some(code) = body.get("code").and_then(Json::as_str) {
-            shared.usage.record_error_code(&sess.tenant, code);
+    if let Reply::Body(body) = reply {
+        if sess.hello_done {
+            if let Some(code) = body.get("code").and_then(Json::as_str) {
+                shared.usage.record_error_code(&sess.tenant, code);
+            }
         }
+        render_line(shared, &body.set("trace_id", trace_id), out);
     }
-    (body.set("trace_id", trace_id), flow)
+    flow
 }
 
-fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str) -> (Json, Flow) {
+fn dispatch(
+    shared: &Shared,
+    req: &Json,
+    sess: &mut SessionState,
+    trace_id: &str,
+    out: &mut Vec<u8>,
+) -> (Reply, Flow) {
     let Some(verb) = req.get("verb").and_then(Json::as_str) else {
         shared.requests.with_label("invalid").inc();
         return (
-            proto::error(ErrorCode::MissingField, "request needs a string 'verb'"),
+            proto::error(ErrorCode::MissingField, "request needs a string 'verb'").into(),
             Flow::Continue,
         );
     };
@@ -213,7 +269,7 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
 
     if shared.shutting_down() && verb != "hello" {
         return (
-            proto::error(ErrorCode::ShuttingDown, "server is shutting down"),
+            proto::error(ErrorCode::ShuttingDown, "server is shutting down").into(),
             Flow::Close,
         );
     }
@@ -223,11 +279,12 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
                 proto::error(
                     ErrorCode::ExpectedHello,
                     "first frame must be {\"verb\":\"hello\",\"version\":1}",
-                ),
+                )
+                .into(),
                 Flow::Continue,
             );
         }
-        return match req.get("version").and_then(Json::as_u64) {
+        let (body, flow) = match req.get("version").and_then(Json::as_u64) {
             Some(PROTOCOL_VERSION) => match hello_tenant(req) {
                 Ok(tenant) => {
                     sess.hello_done = true;
@@ -257,6 +314,7 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
                 Flow::Continue,
             ),
         };
+        return (body.into(), flow);
     }
 
     let body = match verb {
@@ -278,7 +336,7 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
         "load" => verb_load(shared, req),
         "drop" => verb_drop(shared, req),
         "list" => verb_list(shared),
-        "query" => verb_query(shared, req, sess, trace_id),
+        "query" => return (verb_query(shared, req, sess, trace_id, out), Flow::Continue),
         "edit" => {
             let body = verb_edit(shared, req);
             if matches!(body.get("ok"), Some(Json::Bool(true))) {
@@ -307,13 +365,14 @@ fn dispatch(shared: &Shared, req: &Json, sess: &mut SessionState, trace_id: &str
                 proto::ok()
                     .set("shutting_down", true)
                     .set("drained", drained)
-                    .set("cancelled", cancelled),
+                    .set("cancelled", cancelled)
+                    .into(),
                 Flow::CloseAndShutdown,
             );
         }
         other => proto::error(ErrorCode::UnknownVerb, format!("unknown verb {other:?}")),
     };
-    (body, Flow::Continue)
+    (body.into(), Flow::Continue)
 }
 
 fn need_str<'a>(req: &'a Json, key: &str) -> Result<&'a str, Json> {
@@ -426,27 +485,55 @@ fn parse_query(req: &Json) -> Result<Query, Json> {
     }
 }
 
-/// Renders a query answer as pre-order ranks — positions in the current
-/// tree's document order, the only node naming that is meaningful to a
-/// client across the wire.
-fn rows_json(tree: &Tree, out: &QueryOutput) -> Json {
-    match out {
+/// Writes a query answer's reply fields — `"kind":…,"rows":[…]`, plus
+/// `"satisfiable"` for tuple answers — with rows as pre-order ranks:
+/// positions in the current tree's document order, the only node naming
+/// that is meaningful to a client across the wire. The digits go straight
+/// from the result into `out`; no value is built per row.
+fn write_answer(tree: &Tree, answer: &QueryOutput, out: &mut Vec<u8>) {
+    match answer {
         QueryOutput::Nodes(nodes) => {
-            let rows: Vec<Json> = nodes.iter().map(|&v| Json::from(tree.pre(v))).collect();
-            Json::obj().set("kind", "nodes").set("rows", rows)
+            out.extend_from_slice(br#""kind":"nodes","rows":"#);
+            write_ranks(tree, nodes, out);
         }
         QueryOutput::Answer(a) => {
-            let rows: Vec<Json> = a
-                .tuples
-                .iter()
-                .map(|t| Json::Arr(t.iter().map(|&v| Json::from(tree.pre(v))).collect()))
-                .collect();
-            Json::obj()
-                .set("kind", "tuples")
-                .set("rows", rows)
-                .set("satisfiable", !a.tuples.is_empty())
+            out.extend_from_slice(br#""kind":"tuples","rows":["#);
+            for (i, tuple) in a.tuples.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_ranks(tree, tuple, out);
+            }
+            out.extend_from_slice(if a.tuples.is_empty() {
+                br#"],"satisfiable":false"#
+            } else {
+                br#"],"satisfiable":true"#
+            });
         }
     }
+}
+
+/// Writes `[pre(v),…]` for a list of nodes.
+fn write_ranks(tree: &Tree, nodes: &[NodeId], out: &mut Vec<u8>) {
+    out.push(b'[');
+    for (i, &v) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        Json::write_u64(out, tree.pre(v).into());
+    }
+    out.push(b']');
+}
+
+/// Renders a successful query reply as one complete wire line into `out`:
+/// the `header` object's fields, then the answer's, then the newline.
+fn write_query_reply(header: &Json, tree: &Tree, answer: &QueryOutput, out: &mut Vec<u8>) {
+    out.clear();
+    header.write_to(out);
+    out.pop(); // the header's closing brace: the answer fields continue it
+    out.push(b',');
+    write_answer(tree, answer, out);
+    out.extend_from_slice(b"}\n");
 }
 
 fn engine_error_json(err: &EngineError, id: u64) -> Json {
@@ -469,25 +556,35 @@ fn cost_class_key(cost: CostClass) -> &'static str {
     }
 }
 
-fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) -> Json {
+/// The `query` verb. A successful answer is rendered straight into
+/// `out` ([`Reply::Written`]); `resp_bytes` in the usage counters and
+/// the flight record is the length of that one wire line.
+fn verb_query(
+    shared: &Shared,
+    req: &Json,
+    sess: &SessionState,
+    trace_id: &str,
+    out: &mut Vec<u8>,
+) -> Reply {
     let doc_name = match need_str(req, "doc") {
         Ok(n) => n,
-        Err(e) => return e,
+        Err(e) => return e.into(),
     };
     let query = match parse_query(req) {
         Ok(q) => q,
-        Err(e) => return e,
+        Err(e) => return e.into(),
     };
     let deadline_ms = match opt_u64(req, "deadline_ms") {
         Ok(d) => d,
-        Err(e) => return e,
+        Err(e) => return e.into(),
     };
     let tag = req.get("tag").and_then(Json::as_str).map(str::to_owned);
     let Some(doc) = shared.catalog.get(doc_name) else {
         return proto::error(
             ErrorCode::NoSuchDocument,
             format!("no document {doc_name:?}"),
-        );
+        )
+        .into();
     };
 
     // When the flight recorder is installed, open the query scope here —
@@ -499,22 +596,21 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
     } else {
         0
     };
-    let run = || {
+    let run = || -> Reply {
         let doc = {
             let _lock = span("serve.lock");
             doc.read().expect("document poisoned")
         };
         let engine = doc.engine();
         // Lower + plan first: parse errors answer immediately, and the
-        // plan's cost class is what admission keys on.
+        // plan's cost class is what admission keys on. The plan chosen
+        // here is the one evaluation runs — one lowering, one lookup.
         let ir = match engine.lower(&query) {
             Ok(ir) => ir,
-            Err(e) => return proto::error(ErrorCode::QueryError, e.to_string()),
+            Err(e) => return proto::error(ErrorCode::QueryError, e.to_string()).into(),
         };
-        let plan = match engine.explain(&query) {
-            Ok(p) => p,
-            Err(e) => return proto::error(ErrorCode::QueryError, e.to_string()),
-        };
+        let chosen = engine.plan(&ir);
+        let plan = &chosen.plan;
 
         let token = match deadline_ms {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -540,7 +636,8 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                     shared.admit_timeout
                 ),
             )
-            .set("id", id);
+            .set("id", id)
+            .into();
         };
 
         let ctx = flight::RequestCtx {
@@ -549,20 +646,18 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
             admission_wait_ns,
         };
         let started = Instant::now();
-        let result = flight::with_request_ctx(ctx, || engine.eval_ir_with_cancel(&ir, &token));
+        let result = flight::with_request_ctx(ctx, || {
+            engine.eval_planned_with_cancel(&ir, &chosen, &token)
+        });
         let wall_ns = started.elapsed().as_nanos() as u64;
         match result {
-            Ok(out) => {
-                let row_count = match &out {
+            Ok(answer) => {
+                let row_count = match &answer {
                     QueryOutput::Nodes(v) => v.len() as u64,
                     QueryOutput::Answer(a) => a.tuples.len() as u64,
                 };
-                // The trace id is stamped here, before the body is
-                // measured, so `resp_bytes` equals what actually goes on
-                // the wire (the router's later re-stamp is idempotent).
                 let serialize_started = Instant::now();
-                let rows = rows_json(doc.tree(), &out);
-                let mut body = proto::ok()
+                let header = proto::ok()
                     .set("id", id)
                     .set("doc", doc_name)
                     .set("strategy", format!("{:?}", plan.strategy))
@@ -570,12 +665,8 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                     .set("admission", admission_str(verdict))
                     .set("wall_us", wall_ns / 1_000)
                     .set("trace_id", trace_id);
-                if let Json::Obj(fields) = rows {
-                    for (k, v) in fields {
-                        body = body.set(k, v);
-                    }
-                }
-                let resp_bytes = (body.render().len() + 1) as u64; // + '\n'
+                write_query_reply(&header, doc.tree(), &answer, out);
+                let resp_bytes = out.len() as u64;
                 let serialize_ns = serialize_started.elapsed().as_nanos() as u64;
                 if flight_id != 0 {
                     flight::annotate_response(flight_id, resp_bytes, serialize_ns);
@@ -588,9 +679,9 @@ fn verb_query(shared: &Shared, req: &Json, sess: &SessionState, trace_id: &str) 
                     matches!(verdict, AdmissionVerdict::Queued),
                 );
                 shared.slo.observe(cost_class_key(plan.cost), wall_ns);
-                body
+                Reply::Written
             }
-            Err(e) => engine_error_json(&e, id),
+            Err(e) => engine_error_json(&e, id).into(),
         }
     };
     if flight_id != 0 {
@@ -726,5 +817,185 @@ fn verb_cancel(shared: &Shared, req: &Json) -> Json {
         proto::error(ErrorCode::NoSuchQuery, "no running query matches")
     } else {
         proto::ok().set("cancelled", cancelled)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use treequery_core::{CqAnswer, CqPlan};
+    use treequery_obs::parse_json;
+    use treequery_tree::random_recursive_tree;
+
+    /// The answer fields as the session built them before the direct
+    /// writer: one `Json` value per row (and per tuple), rendered through
+    /// the value tree. [`write_answer`] must match it byte for byte.
+    fn rows_json(tree: &Tree, out: &QueryOutput) -> Json {
+        match out {
+            QueryOutput::Nodes(nodes) => {
+                let rows: Vec<Json> = nodes.iter().map(|&v| Json::from(tree.pre(v))).collect();
+                Json::obj().set("kind", "nodes").set("rows", rows)
+            }
+            QueryOutput::Answer(a) => {
+                let rows: Vec<Json> = a
+                    .tuples
+                    .iter()
+                    .map(|t| Json::Arr(t.iter().map(|&v| Json::from(tree.pre(v))).collect()))
+                    .collect();
+                Json::obj()
+                    .set("kind", "tuples")
+                    .set("rows", rows)
+                    .set("satisfiable", !a.tuples.is_empty())
+            }
+        }
+    }
+
+    /// [`write_answer`]'s fields wrapped in braces, comparable with
+    /// `rows_json(..).render()`.
+    fn direct(tree: &Tree, answer: &QueryOutput) -> String {
+        let mut out = vec![b'{'];
+        write_answer(tree, answer, &mut out);
+        out.push(b'}');
+        String::from_utf8(out).expect("UTF-8")
+    }
+
+    fn tuples(rows: impl IntoIterator<Item = Vec<NodeId>>) -> QueryOutput {
+        QueryOutput::Answer(CqAnswer {
+            tuples: rows.into_iter().collect::<BTreeSet<_>>(),
+            plan: CqPlan::Acyclic,
+        })
+    }
+
+    #[test]
+    fn row_writer_matches_the_json_render_on_edge_answers() {
+        let tree = parse_term("r(a(b c) d(e))").unwrap();
+        let all: Vec<NodeId> = tree.nodes().collect();
+        let cases = [
+            QueryOutput::Nodes(Vec::new()),
+            QueryOutput::Nodes(vec![all[3]]),
+            QueryOutput::Nodes(all.clone()),
+            tuples([Vec::new()]), // satisfied Boolean CQ: [[]]
+            tuples([]),           // unsatisfied Boolean CQ: []
+            tuples([
+                vec![all[0], all[4]],
+                vec![all[2], all[1]],
+                vec![all[5], all[5]],
+            ]),
+        ];
+        for answer in &cases {
+            assert_eq!(direct(&tree, answer), rows_json(&tree, answer).render());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn row_writer_matches_the_json_render_on_random_answers(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            arity in 0usize..4,
+            count in 0usize..8,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tree = random_recursive_tree(&mut rng, n, &["a", "b", "c"]);
+            let all: Vec<NodeId> = tree.nodes().collect();
+            let pick = |rng: &mut StdRng| all[rand::Rng::gen_range(rng, 0..all.len())];
+            let mut nodes: Vec<NodeId> = all
+                .iter()
+                .copied()
+                .filter(|_| rand::Rng::gen_range(&mut rng, 0..3) == 0)
+                .collect();
+            tree.sort_by_pre(&mut nodes);
+            let rows: Vec<Vec<NodeId>> = (0..count)
+                .map(|_| (0..arity).map(|_| pick(&mut rng)).collect())
+                .collect();
+            for answer in [QueryOutput::Nodes(nodes), tuples(rows)] {
+                prop_assert_eq!(direct(&tree, &answer), rows_json(&tree, &answer).render());
+            }
+        }
+    }
+
+    /// Records each `write` call the way a socket sees it.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn request(shared: &Shared, sess: &mut SessionState, req: Json) -> Vec<u8> {
+        let mut out = Vec::new();
+        route(shared, &req, sess, &mut out);
+        out
+    }
+
+    /// A query reply larger than the 8 KiB `BufWriter` the session used
+    /// to write through leaves as one `write` of body and newline — no
+    /// 1-byte tail segment for Nagle to hold back.
+    #[test]
+    fn a_large_reply_reaches_the_writer_as_one_write_ending_in_newline() {
+        let shared = crate::server::Server::bind("127.0.0.1:0", Default::default())
+            .expect("bind")
+            .shared();
+        let mut sess = SessionState::default();
+        request(
+            &shared,
+            &mut sess,
+            Json::obj()
+                .set("verb", "hello")
+                .set("version", PROTOCOL_VERSION),
+        );
+        let term = format!("r({})", vec!["a"; 5000].join(" "));
+        request(
+            &shared,
+            &mut sess,
+            Json::obj()
+                .set("verb", "load")
+                .set("name", "wide")
+                .set("term", term),
+        );
+        let line = request(
+            &shared,
+            &mut sess,
+            Json::obj()
+                .set("verb", "query")
+                .set("doc", "wide")
+                .set("lang", "xpath")
+                .set("text", "//a")
+                .set("trace_id", "t-20k"),
+        );
+        assert!(line.len() > 20 * 1024, "reply is {} bytes", line.len());
+
+        let mut socket = RecordingWriter::default();
+        send(&mut socket, &line).unwrap();
+        assert_eq!(socket.writes.len(), 1, "one write per reply");
+        assert_eq!(socket.writes[0], line);
+        assert_eq!(socket.flushes, 1);
+        let (last, body) = line.split_last().unwrap();
+        assert_eq!(*last, b'\n');
+        assert!(!body.contains(&b'\n'), "exactly one newline, at the end");
+
+        let reply = parse_json(std::str::from_utf8(body).unwrap()).unwrap();
+        assert_eq!(reply.get("trace_id").and_then(Json::as_str), Some("t-20k"));
+        assert_eq!(
+            reply.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(5000)
+        );
+        let usage = shared.usage.to_json().render();
+        assert!(
+            usage.contains(&format!("\"resp_bytes\":{}", line.len())),
+            "usage charges the bytes of the single write: {usage}"
+        );
     }
 }

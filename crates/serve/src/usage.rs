@@ -29,7 +29,8 @@ pub struct TenantCounters {
     pub wall_ns: Counter,
     /// Result rows returned.
     pub rows: Counter,
-    /// Serialized response bytes for successful queries.
+    /// Reply bytes for successful queries: each reply's single wire
+    /// write, body plus newline.
     pub resp_bytes: Counter,
     /// Queries that waited in the admission queue before running.
     pub admission_waits: Counter,

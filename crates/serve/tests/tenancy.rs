@@ -263,8 +263,10 @@ fn observatory_serves_tenant_and_slo_expositions() {
 }
 
 /// With the flight recorder installed, a wire query's record carries the
-/// session tenant, the request trace id, and the response size — the
-/// end-to-end join the tentpole promises.
+/// session tenant, the request trace id, and the response size, which
+/// joins the request to its record end to end. `resp_bytes` is the
+/// length of the reply line as it came off the socket, newline included,
+/// also for a reply larger than an 8 KiB write buffer.
 #[test]
 fn flight_records_join_tenant_trace_and_response() {
     let server = spawn();
@@ -277,15 +279,42 @@ fn flight_records_join_tenant_trace_and_response() {
                 .set("term", "r(a(b) a(b c) c)"),
         ),
     );
+    let wide = format!("r({})", vec!["a(b)"; 3000].join(" "));
+    expect_ok(
+        conn.request(
+            Json::obj()
+                .set("verb", "load")
+                .set("name", "wide")
+                .set("term", wide),
+        ),
+    );
     flight::install(flight::FlightConfig::default());
     let resp =
         expect_ok(conn.request(query("t", "xpath", "//a[b]").set("trace_id", "tr-flight-1")));
     assert_eq!(trace_of(&resp), "tr-flight-1");
-    let record = flight::recent()
-        .into_iter()
-        .find(|r| r.trace_id == "tr-flight-1")
-        .expect("flight record for tr-flight-1");
+    conn.send(&query("wide", "xpath", "//a[b]").set("trace_id", "tr-flight-wide"));
+    let wide_line = conn.recv_line().expect("wide reply");
+    let records = flight::recent();
     flight::uninstall();
+    let record_of = |trace: &str| {
+        records
+            .iter()
+            .find(|r| r.trace_id == trace)
+            .cloned()
+            .unwrap_or_else(|| panic!("flight record for {trace}"))
+    };
+    assert!(
+        wide_line.len() > 8 * 1024,
+        "wide reply is {} bytes",
+        wide_line.len()
+    );
+    assert!(wide_line.ends_with("]}\n"), "one reply, one line");
+    assert_eq!(
+        record_of("tr-flight-wide").resp_bytes,
+        wide_line.len() as u64,
+        "resp_bytes is the bytes of the single write"
+    );
+    let record = record_of("tr-flight-1");
 
     assert_eq!(record.tenant, "gamma");
     assert!(record.resp_bytes > 0, "resp_bytes annotated");

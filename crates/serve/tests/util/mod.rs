@@ -77,12 +77,15 @@ impl TestConn {
 
     /// Reads one response line, or `None` on EOF.
     pub fn try_recv(&mut self) -> Option<Json> {
+        let line = self.recv_line()?;
+        Some(parse_json(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}")))
+    }
+
+    /// Reads one raw response line, newline included, or `None` on EOF.
+    pub fn recv_line(&mut self) -> Option<String> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).expect("recv");
-        if n == 0 {
-            return None;
-        }
-        Some(parse_json(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}")))
+        (n > 0).then_some(line)
     }
 
     /// One request/response exchange.
