@@ -140,5 +140,9 @@ echo "==> service benchmark self-tests + wire parity gate (svcbench)"
 cargo test --release --offline --manifest-path svcbench/Cargo.toml
 cargo run --release --quiet --offline --manifest-path svcbench/Cargo.toml -- \
     --workload scan_large --seed 2 --seconds 2 --trace 1
+# A short lookup_rw run: its edit oracle checks the via-acyclic-CQ route
+# (and the other lookup plans) against replayed document versions.
+cargo run --release --quiet --offline --manifest-path svcbench/Cargo.toml -- \
+    --workload lookup_rw --seed 2 --seconds 2 --trace 0
 
 echo "CI OK"

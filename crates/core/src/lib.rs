@@ -338,11 +338,13 @@ impl<'t> Engine<'t> {
     /// [`Metrics::snapshot_quiesced`](plan::Metrics::snapshot_quiesced),
     /// so single-query numbers are internally consistent).
     ///
-    /// The recorder is installed process-globally for the duration (the
-    /// `treequery_obs` model): a concurrent `explain_analyze` from
-    /// another thread, or queries run concurrently on *any* engine, would
-    /// mix their spans and counter deltas into this report. Analyze one
-    /// query at a time for exact numbers.
+    /// The recorder is this query's own span capture
+    /// ([`treequery_obs::with_capture`]): it sees the spans of this
+    /// thread and of the pool workers running this query's chunks, never
+    /// those of queries running concurrently. The counter delta and the
+    /// allocation totals are still process- and engine-wide, so queries
+    /// run concurrently on this engine, or accounted runs elsewhere, can
+    /// still show up in those two.
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzedPlan, EngineError> {
         let recorder = std::sync::Arc::new(treequery_obs::CollectingRecorder::default());
         let before = self.metrics.snapshot_quiesced();
@@ -352,7 +354,7 @@ impl<'t> Engine<'t> {
         let _accounting = treequery_obs::alloc::AccountingGuard::begin();
         treequery_obs::alloc::take_scope_totals();
         let started = std::time::Instant::now();
-        let run = treequery_obs::with_recorder(recorder.clone(), || {
+        let run = treequery_obs::with_capture(recorder.clone(), || {
             let ir = self.lower(query)?;
             let chosen = self.plan(&ir).plan;
             let output = plan::exec::execute(&ir, &chosen, self.tree, &self.metrics)?;
@@ -591,8 +593,9 @@ impl<'t> Engine<'t> {
     }
 
     /// Evaluates an already-lowered query with a forced [`Strategy`] and
-    /// an explicit worker count, bypassing both the planner and the
-    /// parallelism policy. This is the strategy-forcing hook behind
+    /// an explicit worker count, bypassing the planner and the idle-core
+    /// gate (the count is pinned; the kernels' own break-even rules in
+    /// [`plan::fanout`] still apply). This is the strategy-forcing hook behind
     /// differential testing (`treequery-fuzz`): every strategy in
     /// [`plan::applicable_strategies`] must produce the same answer at
     /// every worker count.
@@ -617,6 +620,7 @@ impl<'t> Engine<'t> {
             estimated_work: 0,
             rationale: format!("forced by caller: {strategy}"),
             workers,
+            workers_pinned: true,
             parallel_rationale: format!("forced by caller: {workers} workers"),
             query_fingerprint: ir.fingerprint,
         };
@@ -701,6 +705,7 @@ impl<'t> Engine<'t> {
             estimated_work: 0,
             rationale: format!("forced by caller: {forced}"),
             workers: 1,
+            workers_pinned: false,
             parallel_rationale: String::new(),
             query_fingerprint: ir.fingerprint,
         };

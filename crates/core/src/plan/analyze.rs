@@ -305,6 +305,7 @@ impl MetricsSnapshot {
             .set("backtrack_assignments", self.backtrack_assignments)
             .set("parallel_kernels", self.parallel_kernels)
             .set("parallel_chunks", self.parallel_chunks)
+            .set("parallel_declined_busy", self.parallel_declined_busy)
             .set("quiesce_retries", self.quiesce_retries)
             .set("torn", self.torn)
     }
@@ -337,6 +338,9 @@ impl MetricsSnapshot {
                 .parallel_kernels
                 .saturating_sub(earlier.parallel_kernels),
             parallel_chunks: self.parallel_chunks.saturating_sub(earlier.parallel_chunks),
+            parallel_declined_busy: self
+                .parallel_declined_busy
+                .saturating_sub(earlier.parallel_declined_busy),
             quiesce_retries: self.quiesce_retries.max(earlier.quiesce_retries),
             torn: self.torn || earlier.torn,
         }
@@ -371,6 +375,7 @@ mod tests {
                 estimated_work: 42,
                 rationale: "query graph is acyclic (GYO)".to_owned(),
                 workers: 1,
+                workers_pinned: false,
                 parallel_rationale: "sequential: cq/acyclic has no partitionable kernel".to_owned(),
                 query_fingerprint: 7,
             },
@@ -450,6 +455,7 @@ Counters: queries_lowered=1 queries_executed=1 semijoin_passes=6 candidate_nodes
                 estimated_work: 131_072,
                 rationale: "general Core XPath".to_owned(),
                 workers: 4,
+                workers_pinned: true,
                 parallel_rationale: "4 workers: pre-order range partition of the sweeps".to_owned(),
                 query_fingerprint: 9,
             },
@@ -522,6 +528,7 @@ Counters: queries_executed=1 nodes_swept=131072 parallel_kernels=1 parallel_chun
                 estimated_work: 128,
                 rationale: "general Core XPath".to_owned(),
                 workers: 1,
+                workers_pinned: false,
                 parallel_rationale: "sequential: below the parallel threshold".to_owned(),
                 query_fingerprint: 3,
             },
@@ -625,6 +632,7 @@ Counters: queries_executed=1 nodes_swept=128  [torn after 16 retries: counters d
             estimated_work: 10,
             rationale: "general Core XPath \"sweep\"".to_owned(),
             workers: 4,
+            workers_pinned: true,
             parallel_rationale: "4 workers: pre-order range partition".to_owned(),
             query_fingerprint: u64::MAX,
         };

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use treequery_cq as cq;
@@ -13,6 +13,7 @@ use treequery_obs::alloc::AllocScope;
 use treequery_tree::{NodeId, NodeSet, Tree};
 use treequery_xpath as xpath;
 
+use super::fanout::{fan_out, machine_cores, FanOut, Kernel};
 use super::ir::{IrBody, QueryIr};
 use super::planner::{ExplainedPlan, Strategy};
 use crate::{CqAnswer, CqPlan, EngineError};
@@ -81,6 +82,9 @@ pub struct Metrics {
     pub parallel_kernels: AtomicU64,
     /// Chunk tasks submitted to the worker pool by those kernels.
     pub parallel_chunks: AtomicU64,
+    /// Default-sized plans allowed to fan out that ran sequentially
+    /// because other queries in flight left too few cores idle.
+    pub parallel_declined_busy: AtomicU64,
 }
 
 /// A point-in-time copy of [`Metrics`].
@@ -114,6 +118,9 @@ pub struct MetricsSnapshot {
     pub parallel_kernels: u64,
     /// Chunk tasks submitted to the worker pool.
     pub parallel_chunks: u64,
+    /// Plans allowed to fan out that ran sequentially for lack of an
+    /// idle core.
+    pub parallel_declined_busy: u64,
     /// Re-reads [`Metrics::snapshot_quiesced`] needed before two
     /// consecutive snapshots agreed (0 = the first re-read already
     /// matched). Non-zero means the snapshot was taken under concurrent
@@ -175,6 +182,7 @@ impl Metrics {
             backtrack_assignments: get(&self.backtrack_assignments),
             parallel_kernels: get(&self.parallel_kernels),
             parallel_chunks: get(&self.parallel_chunks),
+            parallel_declined_busy: get(&self.parallel_declined_busy),
             quiesce_retries: 0,
             torn: false,
         }
@@ -210,6 +218,7 @@ impl Metrics {
         zero(&self.backtrack_assignments);
         zero(&self.parallel_kernels);
         zero(&self.parallel_chunks);
+        zero(&self.parallel_declined_busy);
     }
 }
 
@@ -223,7 +232,7 @@ impl MetricsSnapshot {
     /// through the registry.
     pub fn publish_to_registry(&self) {
         let registry = treequery_obs::metrics::global();
-        let rows: [(&'static str, &'static str, u64); 14] = [
+        let rows: [(&'static str, &'static str, u64); 15] = [
             (
                 "treequery_queries_lowered",
                 "Queries lowered into the IR.",
@@ -293,6 +302,11 @@ impl MetricsSnapshot {
                 "treequery_parallel_chunks",
                 "Chunk tasks submitted to the worker pool.",
                 self.parallel_chunks,
+            ),
+            (
+                "treequery_parallel_declined_busy",
+                "Plans allowed to fan out that ran sequentially for lack of an idle core.",
+                self.parallel_declined_busy,
             ),
         ];
         for (name, help, value) in rows {
@@ -410,14 +424,70 @@ fn expect_path(ir: &QueryIr) -> &xpath::Path {
     }
 }
 
-/// Materializes a pooled result set as a pre-order node list and hands
-/// the set's storage back to the scratch pool, so steady-state query
-/// execution only allocates for the answer vector itself.
-fn sorted_nodes(t: &Tree, set: NodeSet) -> Vec<NodeId> {
+/// A result set as a pre-order node list.
+fn sorted_nodes(t: &Tree, set: &NodeSet) -> Vec<NodeId> {
     let mut nodes = set.to_vec();
-    treequery_tree::scratch::put_set(set);
     t.sort_by_pre(&mut nodes);
     nodes
+}
+
+/// [`sorted_nodes`] for a set taken from the scratch pool: its storage
+/// goes back to the pool, so steady-state query execution only allocates
+/// for the answer vector itself. Only pooled sets may come back — a
+/// freshly built set put here would grow the pool by one bitset per
+/// query.
+fn pooled_sorted_nodes(t: &Tree, set: NodeSet) -> Vec<NodeId> {
+    let nodes = sorted_nodes(t, &set);
+    treequery_tree::scratch::put_set(set);
+    nodes
+}
+
+/// Queries currently inside [`execute`], process-wide: the load signal
+/// behind the idle-core rule of [`super::fanout`].
+static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// Queries currently executing in this process, across engines.
+pub fn queries_in_flight() -> usize {
+    IN_FLIGHT.load(Ordering::Relaxed)
+}
+
+/// Holds one slot of [`IN_FLIGHT`] for the life of a query (released on
+/// unwind too).
+struct InFlight;
+
+impl InFlight {
+    /// Enters; returns the guard and how many *other* queries are in
+    /// flight.
+    fn enter() -> (InFlight, usize) {
+        let before = IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+        (InFlight, before)
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The workers this run of `plan` may use. A pinned count is honoured
+/// exactly; a default-sized one gets at most the cores the other queries
+/// in flight leave idle, and runs sequentially (counted in
+/// `parallel_declined_busy`) when that is below its kernel's break-even
+/// point.
+fn granted_workers(plan: &ExplainedPlan, others_in_flight: usize, metrics: &Metrics) -> usize {
+    if plan.workers <= 1 || plan.workers_pinned {
+        return plan.workers;
+    }
+    let Some(kernel) = Kernel::of_strategy(plan.strategy) else {
+        return plan.workers;
+    };
+    let idle = machine_cores().saturating_sub(others_in_flight);
+    let decision = fan_out(kernel, plan.workers, Some(idle));
+    if matches!(decision, FanOut::NoIdleCore { .. }) {
+        Metrics::add(&metrics.parallel_declined_busy, 1);
+    }
+    decision.workers()
 }
 
 /// Runs an acyclic CQ through the full reducer, charging the semijoin
@@ -469,6 +539,7 @@ pub fn execute(
     metrics: &Metrics,
 ) -> Result<QueryOutput, EngineError> {
     Metrics::add(&metrics.queries_executed, 1);
+    let (_in_flight, others) = InFlight::enter();
     // Entry checkpoint: an already-tripped ambient token (pre-cancelled,
     // or a deadline that passed while the query sat in an admission
     // queue) fails fast without touching a kernel.
@@ -476,7 +547,8 @@ pub fn execute(
         Metrics::add(&metrics.queries_cancelled, 1);
         return Err(EngineError::Cancelled(reason));
     }
-    let result = execute_kernels(ir, plan, tree, metrics);
+    let workers = granted_workers(plan, others, metrics);
+    let result = execute_kernels(ir, plan, workers, tree, metrics);
     // Exit checkpoint: the kernels bail out cooperatively at chunk
     // boundaries but return their partial results normally; this is
     // where a cancelled run's partials are discarded and the abort
@@ -489,11 +561,12 @@ pub fn execute(
     result
 }
 
-/// Strategy dispatch; see [`execute`] (which wraps this in the
-/// cancellation entry/exit checkpoints).
+/// Strategy dispatch with the granted worker count; see [`execute`]
+/// (which wraps this in the cancellation entry/exit checkpoints).
 fn execute_kernels(
     ir: &QueryIr,
     plan: &ExplainedPlan,
+    workers: usize,
     tree: &Tree,
     metrics: &Metrics,
 ) -> Result<QueryOutput, EngineError> {
@@ -517,17 +590,17 @@ fn execute_kernels(
             // kernel's steady-state behaviour (zero after warm-up).
             let set = {
                 let _mem = AllocScope::enter("exec.sweep");
-                if plan.workers > 1 {
-                    super::par::par_eval_query(p, tree, plan.workers, metrics)
+                if workers > 1 {
+                    super::par::par_eval_query(p, tree, workers, metrics)
                 } else {
                     xpath::eval_query(p, tree)
                 }
             };
-            Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
+            Ok(QueryOutput::Nodes(pooled_sorted_nodes(tree, set)))
         }
         Strategy::XPathReference => Ok(QueryOutput::Nodes(sorted_nodes(
             tree,
-            xpath::eval_reference(expect_path(ir), tree),
+            &xpath::eval_reference(expect_path(ir), tree),
         ))),
         Strategy::XPathViaDatalog => {
             let prog = xpath::to_datalog(expect_path(ir));
@@ -537,28 +610,30 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                if plan.workers > 1 {
-                    super::par::par_datalog_eval_query(&prog, tree, plan.workers, metrics)
+                if workers > 1 {
+                    super::par::par_datalog_eval_query(&prog, tree, workers, metrics)
                 } else {
                     datalog::eval_query(&prog, tree)
                 }
             };
-            Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
+            Ok(QueryOutput::Nodes(sorted_nodes(tree, &set)))
         }
         Strategy::XPathViaAcyclicCq => {
             let q = ir
                 .lowered_cq
                 .as_ref()
                 .expect("planner chose the CQ route without a lowered CQ");
-            let tuples = run_acyclic_instrumented(q, tree, metrics, plan.workers)
+            let tuples = run_acyclic_instrumented(q, tree, metrics, workers)
                 .expect("Proposition 4.2 CQs are acyclic");
-            let set = NodeSet::from_iter(tree.len(), tuples.into_iter().map(|t| t[0]));
-            Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
+            let mut nodes: Vec<NodeId> = tuples.into_iter().map(|t| t[0]).collect();
+            tree.sort_by_pre(&mut nodes);
+            nodes.dedup();
+            Ok(QueryOutput::Nodes(nodes))
         }
         Strategy::CqAcyclic => {
             let q = expect_cq(ir);
             let tuples =
-                run_acyclic_instrumented(q, tree, metrics, plan.workers).expect("planned acyclic");
+                run_acyclic_instrumented(q, tree, metrics, workers).expect("planned acyclic");
             Ok(QueryOutput::Answer(CqAnswer {
                 tuples,
                 plan: CqPlan::Acyclic,
@@ -590,8 +665,8 @@ fn execute_kernels(
             span.record_u64("passes", passes);
             let tuples = {
                 let _mem = AllocScope::enter("exec.union");
-                if plan.workers > 1 {
-                    super::par::par_eval_via_rewrite(q, tree, plan.workers, metrics)
+                if workers > 1 {
+                    super::par::par_eval_via_rewrite(q, tree, workers, metrics)
                         .expect("planned rewritable")
                 } else {
                     cq::rewrite::eval_via_rewrite(q, tree).expect("planned rewritable")
@@ -625,13 +700,13 @@ fn execute_kernels(
             span.record_u64("nodes_swept", swept);
             let set = {
                 let _mem = AllocScope::enter("exec.ground_minoux");
-                if plan.workers > 1 {
-                    super::par::par_datalog_eval_query(prog, tree, plan.workers, metrics)
+                if workers > 1 {
+                    super::par::par_datalog_eval_query(prog, tree, workers, metrics)
                 } else {
                     datalog::eval_query(prog, tree)
                 }
             };
-            Ok(QueryOutput::Nodes(sorted_nodes(tree, set)))
+            Ok(QueryOutput::Nodes(sorted_nodes(tree, &set)))
         }
     }
 }
@@ -723,6 +798,94 @@ mod tests {
         assert!(snap.torn);
         assert_eq!(snap.queries_executed, 5, "last of 1 initial + 4 retries");
         assert_eq!(snap.quiesce_retries, 4);
+    }
+
+    /// A forced plan for `strategy` over `ir`.
+    fn forced(ir: &QueryIr, strategy: Strategy) -> ExplainedPlan {
+        let mut plan = plan_ir(
+            ir,
+            &TreeStats::compute(&parse_term("r").unwrap()),
+            &PlannerConfig::default(),
+        );
+        plan.strategy = strategy;
+        plan.workers = 1;
+        plan
+    }
+
+    #[test]
+    fn every_strategy_keeps_the_scratch_pool_balanced() {
+        let t = parse_term("r(a(b c) a(c) b(a(b)) a(b))").unwrap();
+        let xpath = lower(&Query::xpath("//a[b]")).unwrap();
+        let datalog = lower(&Query::datalog("P(x) :- label(x, b). ?- P.")).unwrap();
+        let acyclic = lower(&Query::cq("q(x) :- label(x, a), child(x, y), label(y, b).")).unwrap();
+        let cyclic = lower(&Query::cq(
+            "q(x) :- child+(x, y), child+(x, z), child+(y, w), child+(z, w).",
+        ))
+        .unwrap();
+        let xprop = lower(&Query::cq("child+(x, y), child+(y, z), child+(x, z)")).unwrap();
+        let cases = [
+            (&xpath, Strategy::XPathSetAtATime),
+            (&xpath, Strategy::XPathReference),
+            (&xpath, Strategy::XPathViaDatalog),
+            (&xpath, Strategy::XPathViaAcyclicCq),
+            (&datalog, Strategy::DatalogGround),
+            (&acyclic, Strategy::CqAcyclic),
+            (&cyclic, Strategy::CqRewriteUnion(3)),
+            (&cyclic, Strategy::CqBacktrack),
+            (&xprop, Strategy::CqXProperty(treequery_tree::Order::Pre)),
+        ];
+        let metrics = Metrics::default();
+        // A surplus in the pool exposes the other imbalance too: a kernel
+        // that takes a set and drops it would drain the surplus.
+        let surplus: Vec<NodeSet> = (0..8)
+            .map(|_| treequery_tree::scratch::take_set(0))
+            .collect();
+        surplus
+            .into_iter()
+            .for_each(treequery_tree::scratch::put_set);
+        for (ir, strategy) in cases {
+            let plan = forced(ir, strategy);
+            let first = execute(ir, &plan, &t, &metrics).unwrap();
+            let depth = treequery_tree::scratch::pooled_sets();
+            for _ in 0..10 {
+                assert_eq!(execute(ir, &plan, &t, &metrics).unwrap(), first);
+            }
+            assert_eq!(
+                treequery_tree::scratch::pooled_sets(),
+                depth,
+                "{strategy} unbalanced the scratch pool"
+            );
+        }
+    }
+
+    #[test]
+    fn default_sized_plans_fan_out_only_onto_idle_cores() {
+        let ir = lower(&Query::cq(
+            "q(x) :- child+(x, y), child+(x, z), child+(y, w), child+(z, w).",
+        ))
+        .unwrap();
+        let mut plan = forced(&ir, Strategy::CqRewriteUnion(3));
+        plan.workers = 2;
+        let cores = machine_cores();
+        let metrics = Metrics::default();
+        // Every core runs another query: the union declines and says so.
+        assert_eq!(granted_workers(&plan, cores, &metrics), 1);
+        assert_eq!(metrics.snapshot().parallel_declined_busy, 1);
+        // An idle machine grants the plan (capped by the cores).
+        assert_eq!(granted_workers(&plan, 0, &metrics), 2.min(cores).max(1));
+        // A pinned count is honoured exactly, however busy the machine.
+        plan.workers_pinned = true;
+        plan.workers = 4;
+        assert_eq!(granted_workers(&plan, cores + 8, &metrics), 4);
+        // A set-at-a-time plan below three idle cores runs sequentially.
+        let mut sweep = forced(&ir, Strategy::XPathSetAtATime);
+        sweep.workers = 4;
+        assert_eq!(
+            granted_workers(&sweep, cores.saturating_sub(2), &metrics),
+            1
+        );
+        let declined = 2 + u64::from(cores < 2);
+        assert_eq!(metrics.snapshot().parallel_declined_busy, declined);
     }
 
     #[test]

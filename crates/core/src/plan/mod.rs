@@ -10,6 +10,9 @@
 //!   cache;
 //! * [`analyze`] — `EXPLAIN ANALYZE`: the plan rationale merged with
 //!   measured per-stage spans and a consistent counter delta;
+//! * [`fanout`] — the three rules deciding when a kernel fans out
+//!   (local axes never; two-phase kernels from three workers; only onto
+//!   idle cores);
 //! * [`pool`] — the persistent shared worker pool behind intra-query
 //!   parallelism and `Engine::eval_batch`;
 //! * [`par`] — pre-order-range-partitioned parallel kernels with
@@ -17,6 +20,7 @@
 
 pub mod analyze;
 pub mod exec;
+pub mod fanout;
 pub mod ir;
 pub mod par;
 pub mod planner;
@@ -24,7 +28,7 @@ pub mod pool;
 pub mod stats;
 
 pub use analyze::{AnalyzedPlan, StageMem, StageStats};
-pub use exec::{Metrics, MetricsSnapshot, PlanCache, QueryOutput};
+pub use exec::{queries_in_flight, Metrics, MetricsSnapshot, PlanCache, QueryOutput};
 pub use ir::{lower, Query, QueryIr, SourceLang};
 pub use planner::{
     applicable_strategies, plan_ir, CostClass, ExplainedPlan, PlannerConfig, Strategy,

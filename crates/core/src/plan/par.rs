@@ -5,10 +5,10 @@
 //! Every function here is a drop-in replacement for its sequential
 //! counterpart with **byte-identical output**:
 //!
-//! * [`par_image`] / [`par_preimage`] — the `exec.sweep` axis sweeps,
-//!   split by output (carry axes) or marked-input (local axes) pre-order
-//!   range; chunk bitsets are ORed, and OR is commutative, so the merged
-//!   set equals the sequential [`Axis::image`] bit for bit;
+//! * [`par_image`] / [`par_preimage`] — the `exec.sweep` carry-axis
+//!   sweeps, split by output pre-order range; chunk bitsets are ORed, and
+//!   OR is commutative, so the merged set equals the sequential
+//!   [`Axis::image`] bit for bit (local axes run the sequential image);
 //! * [`par_eval_query`] / [`par_select`] / [`par_sources`] — the
 //!   set-at-a-time Core XPath evaluator with every axis sweep
 //!   parallelized (the bitset intersections are word-ops and stay
@@ -29,7 +29,9 @@
 //!
 //! Determinism is the point: the planner may freely flip a query
 //! between sequential and parallel execution without any observable
-//! difference except wall time and the `parallel_*` metrics.
+//! difference except wall time and the `parallel_*` metrics. Each kernel
+//! asks [`fan_out`] whether its shape pays at the worker count it was
+//! given, and runs its sequential counterpart when it does not.
 
 use std::collections::BTreeSet;
 
@@ -38,12 +40,13 @@ use treequery_cq::Cq;
 use treequery_datalog::{ground_rule_chunk, GroundAtom, Program};
 use treequery_storage::{stack_tree_join_into, stack_tree_join_resumed_into, JoinSeedSet};
 use treequery_tree::{
-    incoming_carries_in_place, pre_range_at, pre_range_count, pre_ranges, scratch, Axis, CarryFlow,
-    NodeId, NodeSet, Tree,
+    incoming_carries_in_place, pre_range_at, pre_range_count, pre_ranges, scratch, Axis, NodeId,
+    NodeSet, Tree,
 };
 use treequery_xpath::{Path, Qual};
 
 use crate::plan::exec::Metrics;
+use crate::plan::fanout::{fan_out, Kernel};
 use crate::plan::pool::WorkerPool;
 
 /// Boxes a closure for [`WorkerPool::run_scoped`].
@@ -89,7 +92,9 @@ unsafe impl<T: Send> Sync for SyncSlice<T> {}
 /// from the caller thread's scratch pools — never from worker
 /// thread-locals — so the allocation profile is independent of how
 /// chunks land on workers, and a warmed-up call allocates nothing.
-/// Falls back to the sequential sweep for `workers <= 1` or tiny trees.
+/// Runs the sequential sweep when [`fan_out`] says the axis's kernel
+/// does not pay at `workers` (every local axis; a carry axis below three
+/// workers) and for tiny trees.
 pub fn par_image_into(
     axis: Axis,
     t: &Tree,
@@ -99,38 +104,30 @@ pub fn par_image_into(
     out: &mut NodeSet,
 ) {
     let n = t.len();
-    if workers <= 1 || n < 2 {
-        axis.image_into(t, s, out);
-        return;
-    }
+    let workers = fan_out(Kernel::of_axis(axis), workers, None).workers();
     let chunks = pre_range_count(n, workers);
     if chunks <= 1 {
         axis.image_into(t, s, out);
         return;
     }
     let pool = WorkerPool::global();
-    // Phase 1 (carry axes only): each range's carry contribution, in
-    // parallel; a cheap sequential in-place fold then yields the carry
-    // entering each range. Pooling this phase too matters: the carry
-    // scan costs about as much as the image scan, so leaving it
-    // sequential would cap the speedup at 2× (Amdahl).
+    // Phase 1: each range's carry contribution, in parallel; a cheap
+    // sequential in-place fold then yields the carry entering each range.
+    // Pooling this phase too matters: the carry scan costs about as much
+    // as the image scan, so leaving it sequential would cap the speedup
+    // at 2× (Amdahl).
     let mut carries = scratch::take_carries();
     carries.resize(chunks, axis.carry_identity());
-    match axis.carry_flow() {
-        CarryFlow::None => {}
-        CarryFlow::Forward | CarryFlow::Backward => {
-            note_kernel(metrics, chunks);
-            {
-                let slots = SyncSlice::new(&mut carries);
-                pool.run_for(workers, chunks, &|i| {
-                    let r = pre_range_at(n, chunks, i);
-                    // SAFETY: chunk i writes slot i only.
-                    *unsafe { slots.get(i) } = axis.sweep_carry(t, s, r);
-                });
-            }
-            incoming_carries_in_place(axis, &mut carries);
-        }
+    note_kernel(metrics, chunks);
+    {
+        let slots = SyncSlice::new(&mut carries);
+        pool.run_for(workers, chunks, &|i| {
+            let r = pre_range_at(n, chunks, i);
+            // SAFETY: chunk i writes slot i only.
+            *unsafe { slots.get(i) } = axis.sweep_carry(t, s, r);
+        });
     }
+    incoming_carries_in_place(axis, &mut carries);
     // Phase 2: each range's slice of the image, written into per-chunk
     // sets taken from the caller's scratch pool.
     note_kernel(metrics, chunks);
@@ -138,30 +135,21 @@ pub fn par_image_into(
     for _ in 0..chunks {
         outs.push(scratch::take_set(n));
     }
-    let mut swepts = scratch::take_set_vec();
-    for _ in 0..chunks {
-        swepts.push(scratch::take_set(n));
-    }
     {
         let carries = &carries;
         let out_slots = SyncSlice::new(&mut outs);
-        let swept_slots = SyncSlice::new(&mut swepts);
         pool.run_for(workers, chunks, &|i| {
             let r = pre_range_at(n, chunks, i);
             let mut span = treequery_obs::span("exec.sweep.chunk");
             span.record_u64("nodes", u64::from(r.end - r.start));
-            // SAFETY: chunk i writes slots i only.
-            axis.image_range_into(t, s, r, carries[i], unsafe { out_slots.get(i) }, unsafe {
-                swept_slots.get(i)
-            });
+            // SAFETY: chunk i writes slot i only.
+            axis.image_range_into(t, s, r, carries[i], unsafe { out_slots.get(i) });
         });
     }
     out.clear();
     for slice in outs.iter() {
         out.union_with(slice);
     }
-    // Reverse order of the takes, so the next run pops in take order.
-    scratch::put_set_vec(swepts);
     scratch::put_set_vec(outs);
     scratch::put_carries(carries);
 }
@@ -380,15 +368,21 @@ pub fn par_eval_query(p: &Path, t: &Tree, workers: usize, metrics: &Metrics) -> 
 /// interning is bodies-before-head per ground rule, exactly like the
 /// sequential grounder), then runs one Minoux solve and extracts the
 /// query predicate — the same [`NodeSet`] `datalog::eval_query` returns.
+/// Below the grounding kernel's break-even worker count it runs
+/// `datalog::eval_query` itself.
 pub fn par_datalog_eval_query(
     prog: &Program,
     t: &Tree,
     workers: usize,
     metrics: &Metrics,
 ) -> NodeSet {
+    let workers = fan_out(Kernel::Grounding, workers, None).workers();
+    if workers <= 1 {
+        return treequery_datalog::eval_query(prog, t);
+    }
     let q = prog.query.expect("program has no query predicate");
     let n = t.len();
-    let ranges = pre_ranges(n, workers.max(1));
+    let ranges = pre_ranges(n, workers);
     let mut tasks: Vec<ScopedTask<'_, GroundChunk>> = Vec::new();
     for rule in &prog.rules {
         for r in &ranges {
@@ -426,6 +420,10 @@ pub fn par_eval_via_rewrite(
     workers: usize,
     metrics: &Metrics,
 ) -> Result<BTreeSet<Vec<NodeId>>, RewriteError> {
+    let workers = fan_out(Kernel::UnionParts, workers, None).workers();
+    if workers <= 1 {
+        return treequery_cq::rewrite::eval_via_rewrite(q, t);
+    }
     let (union, _) = treequery_cq::rewrite_to_acyclic(q)?;
     let tasks: Vec<ScopedTask<'_, BTreeSet<Vec<NodeId>>>> = union
         .iter()

@@ -13,6 +13,7 @@
 use treequery_cq as cq;
 use treequery_tree::Order;
 
+use super::fanout::{fan_out, FanOut, Kernel};
 use super::ir::{IrFeatures, QueryIr, SourceLang};
 use super::pool::default_workers;
 use super::stats::TreeStats;
@@ -109,6 +110,11 @@ pub struct ExplainedPlan {
     /// Worker threads the executor may use for this plan's kernels
     /// (1 = sequential).
     pub workers: usize,
+    /// Whether the caller fixed `workers` (`PlannerConfig::workers =
+    /// Some(n)`, or a forced plan). A pinned count is honoured exactly;
+    /// otherwise the executor grants at most the cores no other query in
+    /// flight occupies.
+    pub workers_pinned: bool,
     /// Why that degree of parallelism (or why sequential).
     pub parallel_rationale: String,
     /// The query fingerprint (cache-key half, from the IR).
@@ -118,47 +124,45 @@ pub struct ExplainedPlan {
 impl ExplainedPlan {
     /// Fills in the parallelism half of the plan: how many workers the
     /// executor may use and why. Strategies without a partitionable
-    /// kernel, trees below [`PlannerConfig::parallel_threshold`], and
-    /// single-worker configurations all stay sequential; otherwise the
-    /// plan is granted the configured (or machine-default) worker count.
+    /// kernel and trees below [`PlannerConfig::parallel_threshold`] stay
+    /// sequential; otherwise [`fan_out`] applies the kernel's own
+    /// break-even rule to the configured (or machine-default) worker
+    /// count, and the rationale names the rule that decided. Whether a
+    /// default-sized plan really fans out is settled per run by the
+    /// executor, which grants it only cores no other query occupies.
     /// Parallel execution is byte-identical to sequential — this decision
     /// is purely about cost, never about correctness.
     pub fn decide_parallel(&mut self, stats: &TreeStats, config: &PlannerConfig) {
         let workers = config.workers.unwrap_or_else(default_workers).max(1);
-        let kernel = match self.strategy {
-            Strategy::XPathSetAtATime => Some("pre-order range partition of the sweeps"),
-            Strategy::XPathViaDatalog | Strategy::DatalogGround => {
-                Some("per-node-range grounding chunks, assembled in rule-major order")
-            }
-            Strategy::CqRewriteUnion(k) if k >= 2 => {
-                Some("independent acyclic union parts, merged into one BTree")
-            }
-            _ => None,
-        };
-        let Some(kernel) = kernel else {
-            self.workers = 1;
+        self.workers_pinned = config.workers.is_some();
+        self.workers = 1;
+        let Some(kernel) = Kernel::of_strategy(self.strategy) else {
             self.parallel_rationale =
                 format!("sequential: {} has no partitionable kernel", self.strategy);
             return;
         };
-        if workers <= 1 {
-            self.workers = 1;
-            self.parallel_rationale = "sequential: one worker configured".to_string();
-            return;
-        }
-        if stats.nodes < config.parallel_threshold {
-            self.workers = 1;
+        if workers > 1 && stats.nodes < config.parallel_threshold {
             self.parallel_rationale = format!(
                 "sequential: {} nodes is below the parallel threshold of {}",
                 stats.nodes, config.parallel_threshold
             );
             return;
         }
-        self.workers = workers;
-        self.parallel_rationale = format!(
-            "{workers} workers: {kernel}; deterministic merge keeps the output \
-             byte-identical to sequential"
-        );
+        let decision = fan_out(kernel, workers, None);
+        self.workers = decision.workers();
+        self.parallel_rationale = match decision {
+            FanOut::Parallel(k) => format!(
+                "{k} workers: {}; deterministic merge keeps the output byte-identical \
+                 to sequential{}",
+                kernel.describe(),
+                if self.workers_pinned {
+                    ""
+                } else {
+                    "; shrunk at run time to the cores no other query occupies"
+                }
+            ),
+            sequential => sequential.to_string(),
+        };
     }
 }
 
@@ -289,6 +293,7 @@ fn plan_strategy(ir: &QueryIr, stats: &TreeStats, config: &PlannerConfig) -> Exp
                 stats.nodes
             ),
             workers: 1,
+            workers_pinned: false,
             parallel_rationale: String::new(),
             query_fingerprint: ir.fingerprint,
         },
@@ -339,6 +344,7 @@ fn plan_path(
                      candidate sets, skipping the O(|D|·|Q|) sweep"
                 ),
                 workers: 1,
+                workers_pinned: false,
                 parallel_rationale: String::new(),
                 query_fingerprint: ir.fingerprint,
             };
@@ -365,6 +371,7 @@ fn plan_path(
             sweep_work, stats.nodes
         ),
         workers: 1,
+        workers_pinned: false,
         parallel_rationale: String::new(),
         query_fingerprint: ir.fingerprint,
     }
@@ -393,6 +400,7 @@ fn plan_cq(
                 stats.nodes
             ),
             workers: 1,
+            workers_pinned: false,
             parallel_rationale: String::new(),
             query_fingerprint: ir.fingerprint,
         };
@@ -409,6 +417,7 @@ fn plan_cq(
                  valuation decides it in polynomial time (Theorem 6.5)"
             ),
             workers: 1,
+            workers_pinned: false,
             parallel_rationale: String::new(),
             query_fingerprint: ir.fingerprint,
         };
@@ -440,6 +449,7 @@ fn plan_cq(
                         stats.nodes, backtrack_work, rewrite_work
                     ),
                     workers: 1,
+                    workers_pinned: false,
                     parallel_rationale: String::new(),
                     query_fingerprint: ir.fingerprint,
                 }
@@ -456,6 +466,7 @@ fn plan_cq(
                         stats.nodes
                     ),
                     workers: 1,
+                    workers_pinned: false,
                     parallel_rationale: String::new(),
                     query_fingerprint: ir.fingerprint,
                 }
@@ -473,6 +484,7 @@ fn plan_cq(
                 stats.nodes
             ),
             workers: 1,
+            workers_pinned: false,
             parallel_rationale: String::new(),
             query_fingerprint: ir.fingerprint,
         },
@@ -499,6 +511,37 @@ mod tests {
         assert_eq!(p.cost, CostClass::OutputSensitive);
         assert!(p.rationale.contains("'z'"), "{}", p.rationale);
         assert!(p.rationale.contains("does not occur"), "{}", p.rationale);
+    }
+
+    #[test]
+    fn parallel_rationale_names_the_deciding_rule() {
+        let t = parse_term("r(a(b) a(b c) c)").unwrap();
+        let stats = TreeStats::compute(&t);
+        let plan = |q: Query, workers: Option<usize>| {
+            let config = PlannerConfig {
+                workers,
+                parallel_threshold: 0,
+                ..PlannerConfig::default()
+            };
+            plan_ir(&lower(&q).unwrap(), &stats, &config)
+        };
+        let two = plan(Query::xpath("//a//b"), Some(2));
+        assert_eq!((two.workers, two.workers_pinned), (1, true));
+        assert_eq!(
+            two.parallel_rationale,
+            "sequential: a two-phase range sweep needs ≥3 workers; 2 available"
+        );
+        let four = plan(Query::xpath("//a//b"), Some(4));
+        assert_eq!(four.workers, 4, "{}", four.parallel_rationale);
+        let ground = plan(Query::datalog("P(x) :- label(x, b). ?- P."), Some(2));
+        assert_eq!(ground.workers, 1);
+        assert!(
+            ground.parallel_rationale.contains("Minoux"),
+            "{}",
+            ground.parallel_rationale
+        );
+        let sized = plan(Query::datalog("P(x) :- label(x, b). ?- P."), None);
+        assert!(!sized.workers_pinned);
     }
 
     #[test]

@@ -60,6 +60,8 @@ struct ParJob {
     flight: u64,
     /// Submitter's allocation scope, ditto.
     scope: Option<treequery_obs::alloc::ScopeHandle>,
+    /// Submitter's per-query span capture (`EXPLAIN ANALYZE`), ditto.
+    capture: Option<Arc<dyn treequery_obs::Recorder>>,
     /// Submitter's ambient cancel token, re-installed around every worker
     /// chunk so kernel checkpoints inside the body observe it. Once the
     /// token trips, remaining chunks are *drained* (claimed and counted
@@ -100,6 +102,10 @@ impl ParJob {
                     treequery_obs::flight::with_current_query(self.flight, || {
                         treequery_obs::with_ambient_depth(self.depth, || body(i))
                     })
+                };
+                let run = || match &self.capture {
+                    Some(recorder) => treequery_obs::with_capture(Arc::clone(recorder), run),
+                    None => run(),
                 };
                 let run = || match &self.cancel {
                     Some(token) => treequery_tree::cancel::with_token(token, run),
@@ -175,9 +181,13 @@ impl WorkerPool {
         self.state.lock().expect("pool lock poisoned").workers
     }
 
-    /// Grows the pool to at least `n` workers. The pool never shrinks:
-    /// idle workers park on a condvar and cost nothing.
+    /// Grows the pool to at least `n` workers, but never past the
+    /// machine's available parallelism: more threads than cores only
+    /// time-slice. A caller asking for more still splits its work into
+    /// that many chunks; they just share fewer threads. The pool never
+    /// shrinks: idle workers park on a condvar and cost nothing.
     fn ensure_workers(&'static self, n: usize) {
+        let n = n.min(super::fanout::machine_cores());
         let mut state = self.state.lock().expect("pool lock poisoned");
         while state.workers < n {
             state.workers += 1;
@@ -274,6 +284,7 @@ impl WorkerPool {
             depth: treequery_obs::current_depth(),
             flight: treequery_obs::flight::current_query(),
             scope: treequery_obs::alloc::current_scope(),
+            capture: treequery_obs::current_capture(),
             cancel: treequery_tree::cancel::current(),
         };
         {
@@ -369,8 +380,8 @@ impl WorkerPool {
         });
         // Propagate the submitter's span depth into the workers so chunk
         // spans nest under the stage span that dispatched them, the
-        // submitter's flight query id so worker spans attribute to the
-        // submitting query, and the submitter's allocation scope so chunk
+        // submitter's flight query id and span capture so worker spans
+        // attribute to the submitting query, and the submitter's allocation scope so chunk
         // allocations stay charged to the stage that dispatched them. The
         // handle keeps the scope cell alive for the workers; the owning
         // frame outlives this call because run_scoped blocks until every
@@ -378,6 +389,7 @@ impl WorkerPool {
         let depth = treequery_obs::current_depth();
         let flight = treequery_obs::flight::current_query();
         let alloc_scope = treequery_obs::alloc::current_scope();
+        let capture = treequery_obs::current_capture();
         let cancel = treequery_tree::cancel::current();
 
         {
@@ -385,6 +397,7 @@ impl WorkerPool {
             for (i, task) in tasks.into_iter().enumerate() {
                 let scope = Arc::clone(&scope);
                 let alloc_scope = alloc_scope.clone();
+                let capture = capture.clone();
                 let cancel = cancel.clone();
                 let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
                     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -392,6 +405,10 @@ impl WorkerPool {
                             treequery_obs::flight::with_current_query(flight, || {
                                 treequery_obs::with_ambient_depth(depth, task)
                             })
+                        };
+                        let task = || match &capture {
+                            Some(recorder) => treequery_obs::with_capture(recorder.clone(), task),
+                            None => task(),
                         };
                         let task = || match &cancel {
                             Some(token) => treequery_tree::cancel::with_token(token, task),
@@ -637,6 +654,22 @@ mod tests {
             .map(|i| (0..4).map(|j| i * 10 + j).sum::<usize>())
             .sum();
         assert_eq!(total.load(Ordering::Relaxed), expect);
+    }
+
+    #[test]
+    fn pool_never_outgrows_the_machine() {
+        let pool = WorkerPool::global();
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        pool.run_for(8, hits.len(), &|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
+            .map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>)
+            .collect();
+        assert_eq!(pool.run_scoped(16, tasks), (0..16).collect::<Vec<_>>());
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(pool.workers() <= cores, "{} > {cores}", pool.workers());
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub(crate) fn initial_sets(q: &Cq, t: &Tree) -> Vec<NodeSet> {
 /// image sweeps; passes repeat until a fixpoint. For acyclic queries two
 /// passes suffice; for cyclic queries the iteration count is bounded by
 /// the total number of removed candidates.
+///
+/// The returned sets come from the thread-local scratch pools; recycle
+/// them with [`scratch::put_set_vec`].
 pub fn max_arc_consistent(q: &Cq, t: &Tree) -> Option<Vec<NodeSet>> {
     max_arc_consistent_from(q, t, initial_sets(q, t))
 }
@@ -184,7 +187,8 @@ pub fn max_arc_consistent(q: &Cq, t: &Tree) -> Option<Vec<NodeSet>> {
 /// [`max_arc_consistent`] starting from externally restricted candidate
 /// sets (e.g. singletons for the k-ary membership reduction described
 /// after Theorem 6.5). The given sets are intersected with the label/
-/// self-loop filters before propagation.
+/// self-loop filters before propagation. They must come from the scratch
+/// pools (as `initial_sets` does): on `None` they go back there.
 pub fn max_arc_consistent_from(q: &Cq, t: &Tree, init: Vec<NodeSet>) -> Option<Vec<NodeSet>> {
     let mut sets = init;
     let filters = initial_sets(q, t);
@@ -222,6 +226,7 @@ pub fn max_arc_consistent_from(q: &Cq, t: &Tree, init: Vec<NodeSet>) -> Option<V
     // occurring in no atom ranges over the (non-empty) domain.
     for v in q.live_vars() {
         if sets[v.index()].is_empty() {
+            scratch::put_set_vec(sets);
             return None;
         }
     }

@@ -10,7 +10,7 @@
 //! arc-consistency computation plus a minimum-picking pass (Theorem 6.5):
 //! `O(||A|| · |Q|)`.
 
-use treequery_tree::{cancel, Axis, NodeId, Order, Tree};
+use treequery_tree::{cancel, scratch, Axis, NodeId, Order, Tree};
 
 use crate::arc::max_arc_consistent_from;
 use crate::arc::{atom_rel, initial_sets, max_arc_consistent};
@@ -96,6 +96,7 @@ pub fn eval_x_property(q: &Cq, t: &Tree) -> Result<Option<Vec<NodeId>>, NotXTrac
     // minimum valuation must not read them. The executor's exit
     // checkpoint discards whatever a cancelled evaluation returns.
     if cancel::cancelled() {
+        scratch::put_set_vec(theta);
         return Ok(None);
     }
     let witness: Vec<NodeId> = (0..n.num_vars())
@@ -106,6 +107,7 @@ pub fn eval_x_property(q: &Cq, t: &Tree) -> Result<Option<Vec<NodeId>>, NotXTrac
                 .unwrap_or(t.root())
         })
         .collect();
+    scratch::put_set_vec(theta);
     // Lemma 6.4 guarantees consistency; verify defensively.
     for atom in &n.atoms {
         if let Some((rel, x, y)) = atom_rel(atom) {
@@ -131,12 +133,17 @@ pub fn check_tuple_x_property(q: &Cq, t: &Tree, tuple: &[NodeId]) -> Result<bool
     let mut init = initial_sets(&n, t);
     for (h, &v) in n.head.iter().zip(tuple) {
         if !init[h.index()].contains(v) {
+            scratch::put_set_vec(init);
             return Ok(false);
         }
         let singleton = treequery_tree::NodeSet::singleton(t.len(), v);
         init[h.index()].intersect_with(&singleton);
     }
-    Ok(max_arc_consistent_from(&n, t, init).is_some())
+    let Some(sets) = max_arc_consistent_from(&n, t, init) else {
+        return Ok(false);
+    };
+    scratch::put_set_vec(sets);
+    Ok(true)
 }
 
 /// Convenience: the variables of `q` whose candidate sets the X-property
@@ -144,11 +151,11 @@ pub fn check_tuple_x_property(q: &Cq, t: &Tree, tuple: &[NodeId]) -> Result<bool
 pub fn candidate_sets(q: &Cq, t: &Tree) -> Option<Vec<(CqVar, usize)>> {
     let n = q.normalize_forward();
     let theta = max_arc_consistent(&n, t)?;
-    Some(
-        (0..n.num_vars())
-            .map(|i| (CqVar(i as u32), theta[i].len()))
-            .collect(),
-    )
+    let sizes = (0..n.num_vars())
+        .map(|i| (CqVar(i as u32), theta[i].len()))
+        .collect();
+    scratch::put_set_vec(theta);
+    Some(sizes)
 }
 
 #[cfg(test)]

@@ -148,6 +148,56 @@ pub fn with_recorder<T>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T
     f()
 }
 
+/// Bit in [`FLAGS`]: some thread has a per-query [`with_capture`]
+/// recorder installed.
+pub(crate) const FLAG_CAPTURE: u32 = 1 << 2;
+
+/// How many [`with_capture`] scopes are open, process-wide; guards the
+/// [`FLAG_CAPTURE`] bit so it clears only when the last scope closes.
+static CAPTURES: Mutex<usize> = Mutex::new(0);
+
+std::thread_local! {
+    static CAPTURE: std::cell::RefCell<Option<Arc<dyn Recorder>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Runs `f` with `recorder` as this thread's capture, restoring the
+/// previous capture afterwards (also on panic). Spans opened on this
+/// thread while a capture is installed go to the capture instead of the
+/// process-wide recorder, so concurrent captures on different threads
+/// never see each other's spans. Worker pools read [`current_capture`]
+/// on the submitting thread and re-install it on their workers, which is
+/// what keeps one query's chunk spans in that query's capture.
+pub fn with_capture<T>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<dyn Recorder>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CAPTURE.with(|c| *c.borrow_mut() = self.0.take());
+            let mut open = CAPTURES.lock().expect("capture count poisoned");
+            *open -= 1;
+            if *open == 0 {
+                clear_flag(FLAG_CAPTURE);
+            }
+        }
+    }
+    {
+        let mut open = CAPTURES.lock().expect("capture count poisoned");
+        *open += 1;
+        set_flag(FLAG_CAPTURE);
+    }
+    let previous = CAPTURE.with(|c| c.borrow_mut().replace(recorder));
+    let _restore = Restore(previous);
+    f()
+}
+
+/// This thread's [`with_capture`] recorder, if one is installed.
+pub fn current_capture() -> Option<Arc<dyn Recorder>> {
+    if flags() & FLAG_CAPTURE == 0 {
+        return None;
+    }
+    CAPTURE.with(|c| c.borrow().clone())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,5 +259,31 @@ mod tests {
         let summary = rec.summary();
         let worker = summary.iter().find(|s| s.name == "test.worker").unwrap();
         assert_eq!(worker.calls, 4);
+    }
+
+    #[test]
+    fn concurrent_captures_see_only_their_own_thread() {
+        let barrier = std::sync::Barrier::new(2);
+        let captured = |name: &'static str| {
+            let rec = Arc::new(CollectingRecorder::default());
+            with_capture(rec.clone(), || {
+                barrier.wait();
+                for _ in 0..3 {
+                    let _s = span(name);
+                }
+                barrier.wait();
+            });
+            rec.finished_spans()
+        };
+        let (left, right) = std::thread::scope(|s| {
+            let left = s.spawn(|| captured("test.left"));
+            let right = s.spawn(|| captured("test.right"));
+            (left.join().unwrap(), right.join().unwrap())
+        });
+        assert_eq!(left.len(), 3);
+        assert!(left.iter().all(|r| r.name == "test.left"));
+        assert_eq!(right.len(), 3);
+        assert!(right.iter().all(|r| r.name == "test.right"));
+        assert!(current_capture().is_none());
     }
 }

@@ -124,7 +124,8 @@ pub fn with_ambient_depth<T>(depth: u32, f: impl FnOnce() -> T) -> T {
 
 /// Opens a span. When all observability is off this is one relaxed
 /// atomic load and returns an inert guard (no clock read, no
-/// allocation). A span is live when a [`Recorder`] is installed, or when
+/// allocation). A span is live when a [`Recorder`] is installed (this
+/// thread's [`crate::with_capture`] one wins over the process-wide one), or when
 /// the [`crate::flight`] recorder is on *and* the opening thread is
 /// inside a query scope (so flight capture never pays for spans outside
 /// an evaluation).
@@ -139,7 +140,14 @@ pub fn span(name: &'static str) -> Span {
 
 #[cold]
 fn span_slow(name: &'static str, flags: u32) -> Span {
-    let recorder = if flags & crate::FLAG_RECORDER != 0 {
+    let captured = if flags & crate::FLAG_CAPTURE != 0 {
+        crate::current_capture()
+    } else {
+        None
+    };
+    let recorder = if captured.is_some() {
+        captured
+    } else if flags & crate::FLAG_RECORDER != 0 {
         crate::current_recorder()
     } else {
         None

@@ -258,7 +258,8 @@ fn cancelled_queries_free_pool_workers() {
         config.planner.workers = Some(workers);
         config.planner.parallel_threshold = 0; // force chunked dispatch
         let engine = Engine::with_config(&tree, config);
-        let q = Query::xpath("//a[b]/c");
+        // `//c` is a descendant range sweep: it fans out at 4 workers.
+        let q = Query::xpath("//a[b]//c");
         for _ in 0..10 {
             let token = CancelToken::new();
             token.cancel();

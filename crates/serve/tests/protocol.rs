@@ -37,7 +37,7 @@ fn golden_transcript_covers_every_verb() {
 {"verb":"edit","doc":"t","script":"relabel(2,z)","_expect":{"ok":true,"applied":1,"skipped":0,"nodes":7,"edits":1}}
 {"verb":"query","doc":"t","lang":"xpath","text":"//a[b]","_expect":{"ok":true,"rows":[3]}}
 # --- stats --------------------------------------------------------------
-{"verb":"stats","doc":"t","_expect":{"ok":true,"docs":1,"cached_plans":"*","engine":{"queries_executed":"*"},"doc":{"name":"t","nodes":7,"edits":1}}}
+{"verb":"stats","doc":"t","_expect":{"ok":true,"docs":1,"cached_plans":"*","engine":{"queries_executed":"*","parallel_declined_busy":"*"},"doc":{"name":"t","nodes":7,"edits":1}}}
 # --- cancel with nothing running ---------------------------------------
 {"verb":"cancel","tag":"nothing","_expect":{"ok":false,"code":"no_such_query"}}
 # --- structured request errors -----------------------------------------

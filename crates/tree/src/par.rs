@@ -1,12 +1,12 @@
 //! Pre-order range partitioning of the axis sweeps.
 //!
-//! Every O(n) sweep behind [`Axis::image`] is a left-to-right (or
-//! right-to-left) scan of the pre-order ranks carrying a tiny amount of
+//! The carry-axis sweeps behind [`Axis::image`] are left-to-right (or
+//! right-to-left) scans of every pre-order rank carrying a tiny amount of
 //! state: the maximum `pre_end` of a marked node seen so far
-//! (`Descendant`), the minimum (`Following`) or maximum (`Preceding`)
-//! post rank, or nothing at all for the local axes. All of these carries
-//! are folds of an **associative** operator (max / min), so a sweep over
-//! `0..n` splits into independent sweeps over pre-order ranges:
+//! (`Descendant`), or the minimum (`Following`) or maximum (`Preceding`)
+//! post rank. All of these carries are folds of an **associative**
+//! operator (max / min), so a sweep over `0..n` splits into independent
+//! sweeps over pre-order ranges:
 //!
 //! 1. each range computes its own carry contribution in parallel
 //!    ([`Axis::sweep_carry`]),
@@ -20,16 +20,12 @@
 //! bitset, and bitwise OR is commutative, so the union over ranges is
 //! byte-identical to the sequential [`Axis::image`] regardless of which
 //! worker finished first. The per-range/whole-sweep agreement is
-//! property-tested over all fifteen axes in this module.
+//! property-tested over every carry axis in this module.
 //!
-//! Axes without carries partition the *marked input* by pre rank instead
-//! of the output: `Ancestor` walks parent chains from in-range marked
-//! nodes (stopping at the first ancestor already emitted, so each chunk
-//! does O(range + distinct ancestors) work), and the sibling axes sweep
-//! the children of each in-range marked node's parent with the *global*
-//! source set, deduplicating parents chunk-locally — every parent with a
-//! marked child is swept by at least one chunk, and each sweep
-//! reproduces the sequential per-parent output exactly.
+//! Axes without carries ([`CarryFlow::None`]: the child, parent, sibling,
+//! self and ancestor axes) have no range form. Their sequential image
+//! walks only the marked set (or makes one prefix-count pass), while a
+//! range partition would scan every rank, so they never fan out.
 
 use std::ops::Range;
 
@@ -240,14 +236,15 @@ impl Axis {
         }
     }
 
-    /// One range's slice of [`Axis::image`]: with the correct incoming
-    /// `carry` (from [`incoming_carries`]), the bitwise OR of the slices
-    /// over a partition of `0..n` equals the whole image (phase 2 of the
-    /// parallel sweep; property-tested below for every axis).
+    /// One range's slice of [`Axis::image`] for a carry axis: with the
+    /// correct incoming `carry` (from [`incoming_carries`]), the bitwise
+    /// OR of the slices over a partition of `0..n` equals the whole image
+    /// (phase 2 of the parallel sweep; property-tested below). Slices are
+    /// the *output* ranks in `range`.
     ///
-    /// Carry axes slice the *output* by pre rank; carry-free axes slice
-    /// the marked *input* by pre rank and may emit nodes outside
-    /// `range`.
+    /// # Panics
+    /// For axes without a carry ([`CarryFlow::None`]), which have no
+    /// range form.
     pub fn image_range(
         self,
         t: &Tree,
@@ -256,16 +253,16 @@ impl Axis {
         carry: SweepCarry,
     ) -> NodeSet {
         let mut out = NodeSet::empty(t.len());
-        let mut swept = NodeSet::empty(t.len());
-        self.image_range_into(t, s, range, carry, &mut out, &mut swept);
+        self.image_range_into(t, s, range, carry, &mut out);
         out
     }
 
-    /// Writes one range's image slice into `out` (cleared first). `swept`
-    /// is the sibling-axis parent-dedup buffer (also cleared; unused by the
-    /// other axes, so a zero-universe set is fine there). With caller-owned
-    /// buffers a warmed-up call performs no allocations — this is the form
-    /// the parallel executor's chunk tasks run.
+    /// Writes one range's image slice into `out` (cleared first). With a
+    /// caller-owned buffer a warmed-up call performs no allocations —
+    /// this is the form the parallel executor's chunk tasks run.
+    ///
+    /// # Panics
+    /// For axes without a carry ([`CarryFlow::None`]).
     pub fn image_range_into(
         self,
         t: &Tree,
@@ -273,7 +270,6 @@ impl Axis {
         range: Range<u32>,
         carry: SweepCarry,
         out: &mut NodeSet,
-        swept: &mut NodeSet,
     ) {
         let n = t.len();
         debug_assert_eq!(s.universe(), n);
@@ -282,57 +278,6 @@ impl Axis {
         debug_assert_eq!(carry, incoming_kind_check(self, carry));
         out.clear();
         match self {
-            Axis::SelfAxis => {
-                for rank in range {
-                    let v = t.node_at_pre_unchecked(rank);
-                    if s.contains(v) {
-                        out.insert(v);
-                    }
-                }
-            }
-            Axis::Child => {
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if s.contains(x) {
-                        for c in t.children_unchecked(x) {
-                            out.insert(c);
-                        }
-                    }
-                }
-            }
-            Axis::Parent => {
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if s.contains(x) {
-                        let p = t.parent_raw_unchecked(x);
-                        if p != crate::tree::NONE {
-                            out.insert(crate::tree::NodeId(p));
-                        }
-                    }
-                }
-            }
-            Axis::NextSibling => {
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if s.contains(x) {
-                        let y = t.next_sibling_raw_unchecked(x);
-                        if y != crate::tree::NONE {
-                            out.insert(crate::tree::NodeId(y));
-                        }
-                    }
-                }
-            }
-            Axis::PrevSibling => {
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if s.contains(x) {
-                        let y = t.prev_sibling_raw_unchecked(x);
-                        if y != crate::tree::NONE {
-                            out.insert(crate::tree::NodeId(y));
-                        }
-                    }
-                }
-            }
             Axis::Descendant | Axis::DescendantOrSelf => {
                 let SweepCarry::MaxEnd(mut max_end) = carry else {
                     unreachable!("kind checked above")
@@ -348,83 +293,6 @@ impl Axis {
                         if or_self {
                             out.insert(v);
                         }
-                    }
-                }
-            }
-            Axis::Ancestor | Axis::AncestorOrSelf => {
-                // Parent-chain walks from the in-range marked nodes. The
-                // walk stops at the first ancestor already emitted; every
-                // emitted node's chain is fully processed (induction on
-                // insertion order), so each chunk emits each ancestor
-                // once.
-                let or_self = self == Axis::AncestorOrSelf;
-                for rank in range {
-                    let v = t.node_at_pre_unchecked(rank);
-                    if !s.contains(v) {
-                        continue;
-                    }
-                    if or_self && !out.insert(v) {
-                        continue;
-                    }
-                    for a in t.ancestors_unchecked(v) {
-                        if !out.insert(a) {
-                            break;
-                        }
-                    }
-                }
-            }
-            Axis::FollowingSibling | Axis::FollowingSiblingOrSelf => {
-                let or_self = self == Axis::FollowingSiblingOrSelf;
-                swept.clear();
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if !s.contains(x) {
-                        continue;
-                    }
-                    if or_self {
-                        out.insert(x);
-                    }
-                    let p = t.parent_raw_unchecked(x);
-                    if p == crate::tree::NONE || !swept.insert(crate::tree::NodeId(p)) {
-                        continue;
-                    }
-                    let mut flag = false;
-                    for c in t.children_unchecked(crate::tree::NodeId(p)) {
-                        if flag {
-                            out.insert(c);
-                        }
-                        if s.contains(c) {
-                            flag = true;
-                        }
-                    }
-                }
-            }
-            Axis::PrecedingSibling | Axis::PrecedingSiblingOrSelf => {
-                let or_self = self == Axis::PrecedingSiblingOrSelf;
-                swept.clear();
-                for rank in range {
-                    let x = t.node_at_pre_unchecked(rank);
-                    if !s.contains(x) {
-                        continue;
-                    }
-                    if or_self {
-                        out.insert(x);
-                    }
-                    let p = t.parent_raw_unchecked(x);
-                    if p == crate::tree::NONE || !swept.insert(crate::tree::NodeId(p)) {
-                        continue;
-                    }
-                    let mut flag = false;
-                    let mut cur = t.last_child_raw_unchecked(crate::tree::NodeId(p));
-                    while cur != crate::tree::NONE {
-                        let c = crate::tree::NodeId(cur);
-                        if flag {
-                            out.insert(c);
-                        }
-                        if s.contains(c) {
-                            flag = true;
-                        }
-                        cur = t.prev_sibling_raw_unchecked(c);
                     }
                 }
             }
@@ -456,6 +324,7 @@ impl Axis {
                     }
                 }
             }
+            _ => panic!("{self} has no carry, hence no range sweep"),
         }
     }
 }
@@ -476,8 +345,12 @@ fn incoming_kind_check(axis: Axis, carry: SweepCarry) -> SweepCarry {
 /// ORing the per-range slices. The parallel executor in
 /// `treequery-core` runs the same three phases with phases 1 and 3 on
 /// the worker pool; this function exists so the partitioning itself can
-/// be tested (and differentially compared) without a pool.
+/// be tested (and differentially compared) without a pool. Axes without
+/// a carry take the sequential image, as the executor does.
 pub fn image_via_ranges(axis: Axis, t: &Tree, s: &NodeSet, chunks: usize) -> NodeSet {
+    if axis.carry_flow() == CarryFlow::None {
+        return axis.image(t, s);
+    }
     let ranges = pre_ranges(t.len(), chunks);
     let carries: Vec<SweepCarry> = ranges
         .iter()
@@ -566,14 +439,21 @@ mod tests {
         }
     }
 
+    /// The axes with a range sweep.
+    const CARRY_AXES: [Axis; 4] = [
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+        Axis::Following,
+        Axis::Preceding,
+    ];
+
     #[test]
     fn image_range_into_reuses_buffers() {
         let t = parse_term("a(b(c d(e) f) g(h(i j) k) l)").unwrap();
         let n = t.len();
         let s = NodeSet::from_iter(n, t.nodes().filter(|v| v.0 % 3 == 0));
         let mut out = NodeSet::empty(n);
-        let mut swept = NodeSet::empty(n);
-        for axis in Axis::ALL {
+        for axis in CARRY_AXES {
             let whole = axis.image(&t, &s);
             let mut merged = NodeSet::empty(n);
             let k = pre_range_count(n, 3);
@@ -583,11 +463,30 @@ mod tests {
             incoming_carries_in_place(axis, &mut carries);
             for (i, &c) in carries.iter().enumerate() {
                 // Deliberately reuse dirty buffers across chunks.
-                axis.image_range_into(&t, &s, pre_range_at(n, 3, i), c, &mut out, &mut swept);
+                axis.image_range_into(&t, &s, pre_range_at(n, 3, i), c, &mut out);
                 merged.union_with(&out);
             }
             assert_eq!(merged, whole, "{axis}");
         }
+    }
+
+    #[test]
+    fn carry_axes_are_exactly_those_with_a_carry() {
+        for axis in Axis::ALL {
+            assert_eq!(
+                CARRY_AXES.contains(&axis),
+                axis.carry_flow() != CarryFlow::None,
+                "{axis}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no range sweep")]
+    fn local_axes_have_no_range_sweep() {
+        let t = parse_term("a(b c)").unwrap();
+        let s = NodeSet::full(t.len());
+        Axis::Child.image_range(&t, &s, 0..t.len() as u32, SweepCarry::None);
     }
 
     #[test]
@@ -620,8 +519,8 @@ mod tests {
     }
 
     /// The partitioned sweep must reproduce `Axis::image` exactly, for
-    /// every axis, over structured and random trees, many source sets
-    /// and chunk counts (including chunks > n).
+    /// every carry axis, over structured and random trees, many source
+    /// sets and chunk counts (including chunks > n).
     #[test]
     fn image_via_ranges_matches_image() {
         let mut rng = StdRng::seed_from_u64(0x5eed_0019);
@@ -650,7 +549,7 @@ mod tests {
                         .map(NodeId),
                 ));
             }
-            for axis in Axis::ALL {
+            for axis in CARRY_AXES {
                 for s in &sources {
                     let whole = axis.image(t, s);
                     for chunks in [1usize, 2, 3, 8, n + 3] {

@@ -80,6 +80,13 @@ pub fn put_set(s: NodeSet) {
     POOL.with(|p| p.borrow_mut().words.push(words));
 }
 
+/// Number of set word buffers pooled on this thread. Balanced
+/// take/put use keeps it flat across identical runs; a put of a set that
+/// was never taken grows it by one.
+pub fn pooled_sets() -> usize {
+    POOL.with(|p| p.borrow().words.len())
+}
+
 /// Takes an empty `Vec<u32>` (capacity retained from earlier puts).
 pub fn take_u32s() -> Vec<u32> {
     let mut v = POOL.with(|p| p.borrow_mut().u32s.pop()).unwrap_or_default();

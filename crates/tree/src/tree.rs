@@ -472,17 +472,6 @@ impl Tree {
         }
     }
 
-    /// The proper ancestors of `v` via unchecked parent-link steps; used by
-    /// the sweep kernels ([`ancestors`](Tree::ancestors) is the safe public
-    /// API).
-    #[inline]
-    pub(crate) fn ancestors_unchecked(&self, v: NodeId) -> AncestorsUnchecked<'_> {
-        AncestorsUnchecked {
-            tree: self,
-            cur: self.parent[v.index()],
-        }
-    }
-
     /// Comparison of two nodes in pre-order.
     #[inline]
     pub fn pre_lt(&self, x: NodeId, y: NodeId) -> bool {
@@ -541,23 +530,6 @@ impl Iterator for ChildrenUnchecked<'_> {
     fn next(&mut self) -> Option<NodeId> {
         let v = opt(self.cur)?;
         self.cur = self.tree.next_sibling_raw_unchecked(v);
-        Some(v)
-    }
-}
-
-/// Ancestors iterator stepping through unchecked parent links.
-pub(crate) struct AncestorsUnchecked<'t> {
-    tree: &'t Tree,
-    cur: u32,
-}
-
-impl Iterator for AncestorsUnchecked<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        let v = opt(self.cur)?;
-        self.cur = self.tree.parent_raw_unchecked(v);
         Some(v)
     }
 }

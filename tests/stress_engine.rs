@@ -114,10 +114,6 @@ fn hammered_engine_keeps_its_counters_consistent() {
         "the 4-worker engine should have dispatched parallel kernels"
     );
     assert!(m.parallel_chunks >= m.parallel_kernels);
-    // Concurrent explain_analyze calls race their recorder restores (the
-    // documented treequery-obs model); leave the process clean for other
-    // tests in this binary.
-    treequery::obs::clear_recorder();
 }
 
 /// `EXPLAIN ANALYZE` under parallel execution is deterministic: worker
@@ -128,7 +124,9 @@ fn hammered_engine_keeps_its_counters_consistent() {
 fn parallel_explain_analyze_is_deterministic() {
     let tree = stress_tree();
     let engine = parallel_engine(&tree);
-    let query = Query::xpath("//a[b]/c");
+    // The `descendant` step is a range sweep, the kernel that fans out;
+    // local axes alone would run sequentially.
+    let query = Query::xpath("//a[b]//c");
     let sequential = Engine::with_config(
         &tree,
         EngineConfig {
