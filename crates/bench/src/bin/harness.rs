@@ -15,11 +15,11 @@
 //! cargo run -p treequery-bench --release --bin harness fuzz --seconds 10 --seed 0xC0C4
 //! ```
 //!
-//! `--report <file>` additionally runs each experiment under a collecting
-//! span recorder and writes a machine-readable JSON report (wall times,
+//! `--report <file>` additionally runs each experiment under a span
+//! capture and writes a machine-readable JSON report (wall times,
 //! per-span latency percentiles, submitted engine counters).
 //!
-//! `--check-noop-overhead` measures the disabled-recorder span cost (with
+//! `--check-noop-overhead` measures the disabled-span cost (with
 //! and without a flight-recorder install/uninstall cycle) and the
 //! disabled-path cost of the counting allocator; it fails (exit 1) if
 //! the span cost regressed more than 5% past the recorded baseline in
@@ -71,7 +71,7 @@ use treequery_bench::report::ReportBuilder;
 use treequery_bench::suite;
 use treequery_core::obs::parse_json;
 use treequery_core::tree::{xmark_document, XmarkConfig};
-use treequery_core::Engine;
+use treequery_core::{Engine, Query};
 
 const ALL: &[(&str, fn())] = &[
     ("e01", experiments::e01_table1::run),
@@ -192,7 +192,7 @@ fn counting_alloc_overhead() -> f64 {
     best_ratio
 }
 
-/// Fails (exit 1) if the disabled-recorder span overhead regressed more
+/// Fails (exit 1) if the disabled-span overhead regressed more
 /// than 5% past the recorded baseline ratio, or if the counting
 /// allocator's disabled path adds more than 10% to a raw alloc/free
 /// loop.
@@ -208,7 +208,7 @@ fn check_noop_overhead() {
     let budget = max_ratio * 1.05;
     let measured = e18_observability::noop_overhead();
     println!(
-        "noop-recorder overhead: measured ratio {:.4} ({:.2}ns/span), \
+        "disabled-span overhead: measured ratio {:.4} ({:.2}ns/span), \
          baseline {max_ratio:.2}, budget {budget:.4}",
         measured.ratio, measured.per_span_ns
     );
@@ -251,24 +251,25 @@ fn check_noop_overhead() {
         );
     }
     // Request tracing rides the same flag word: after a full tracing
-    // round trip (install, request-context scope, response annotation,
+    // round trip (install, request context, response annotation,
     // uninstall) the disabled span path must still meet the original
     // budget — tracing support cannot tax servers that never enable it.
     {
-        use treequery_core::obs::flight;
+        use treequery_core::obs::{flight, QueryCtx};
         flight::install(flight::FlightConfig::default());
-        let id = flight::begin_query();
-        let ctx = flight::RequestCtx {
-            tenant: "overhead-probe".to_owned(),
-            trace_id: "overhead-probe".to_owned(),
-            admission_wait_ns: 0,
-        };
-        flight::with_request_ctx(ctx, || {
-            flight::with_current_query(id, || {
-                let _span = treequery_core::obs::span("overhead.probe");
-            })
+        let opened = flight::begin_query(&QueryCtx::current()).expect("recorder installed");
+        let id = opened.query;
+        QueryCtx {
+            request: Some(std::sync::Arc::new(flight::RequestCtx {
+                tenant: "overhead-probe".to_owned(),
+                trace_id: "overhead-probe".to_owned(),
+                admission_wait_ns: 0,
+            })),
+            ..opened
+        }
+        .enter(|| {
+            let _span = treequery_core::obs::span("overhead.probe");
         });
-        let _ = flight::take_spans(id);
         flight::annotate_response(id, 1, 1);
         flight::uninstall();
         let traced = e18_observability::noop_overhead();
@@ -416,13 +417,29 @@ fn run_bench(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The demo queries `--serve-metrics` and `--trace` run: three XPath
-/// sweeps over a seed-pinned XMark document.
+/// The demo queries `--serve-metrics` and `--trace` run over a
+/// seed-pinned XMark document: three XPath sweeps, and a cyclic CQ the
+/// planner rewrites into a union of three acyclic parts. Union parts fan
+/// out from two pinned workers (`plan::fanout`), and each part runs for
+/// several milliseconds — far longer than a parked worker takes to wake
+/// — so a pool worker always claims one and the trace shows chunk events
+/// on a thread besides the submitting one.
 const DEMO_QUERIES: &[&str] = &[
     "//person/name",
     "//open_auction//bidder",
     "/site/regions//item",
+    "q(x) :- child+(x, y), child+(x, z), child+(y, w), child+(z, w), \
+     label(x, site), label(w, text).",
 ];
+
+/// A demo query as the engine takes it: CQs start with `q(`.
+fn demo_query(text: &str) -> Query {
+    if text.starts_with("q(") {
+        Query::cq(text)
+    } else {
+        Query::xpath(text)
+    }
+}
 
 /// The seed-pinned XMark document the demo workload queries.
 fn demo_tree() -> treequery_core::tree::Tree {
@@ -459,7 +476,9 @@ fn run_demo_workload(engine: &Engine<'_>) {
     );
     for q in DEMO_QUERIES {
         let started = Instant::now();
-        engine.xpath(q).expect("demo workload queries parse");
+        engine
+            .eval(&demo_query(q))
+            .expect("demo workload queries parse");
         wall.with_label(q)
             .observe(started.elapsed().as_nanos() as u64);
     }

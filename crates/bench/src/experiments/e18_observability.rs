@@ -1,5 +1,5 @@
 //! E18 — observability: measured span counts vs the paper's predicted
-//! bounds, and the noop-recorder overhead budget.
+//! bounds, and the disabled-span overhead budget.
 //!
 //! Three validations on synthetic workloads:
 //!
@@ -12,7 +12,7 @@
 //!    formulas whose size — the quantity Minoux's algorithm is linear in
 //!    — grows proportionally to the tree: the measured
 //!    `hornsat.solve.formula_size` per node stays constant.
-//! 3. **Noop overhead.** With no recorder installed a span is one relaxed
+//! 3. **Noop overhead.** With no capture alive a span is one relaxed
 //!    atomic load; the instrumented hot loop must run within a few
 //!    percent of the uninstrumented one (the budget `ci.sh` enforces via
 //!    `--check-noop-overhead`).
@@ -72,11 +72,16 @@ fn time_loop(iters: u64, instrumented: bool) -> std::time::Duration {
 
 /// Measures the disabled-span overhead: the same arithmetic hot loop with
 /// and without a span guard per iteration, medians over several reps,
-/// with any installed recorder temporarily removed (so the measurement
-/// covers the *disabled* path even under `--report`).
+/// under an empty query context (so a harness report's capture neither
+/// records the loop's spans nor times them). With no capture alive
+/// anywhere this is the one-relaxed-load disabled path; under
+/// `--report`, the report's capture is alive, and it is the path a
+/// thread outside every capture takes.
 pub fn noop_overhead() -> NoopOverhead {
-    let previous = obs::current_recorder();
-    obs::clear_recorder();
+    obs::QueryCtx::default().enter(measure_noop_overhead)
+}
+
+fn measure_noop_overhead() -> NoopOverhead {
     const ITERS: u64 = 100_000;
     const REPS: usize = 9;
     // Warm both paths once before measuring.
@@ -90,9 +95,6 @@ pub fn noop_overhead() -> NoopOverhead {
     for _ in 0..REPS {
         plain = plain.min(time_loop(ITERS, false));
         instrumented = instrumented.min(time_loop(ITERS, true));
-    }
-    if let Some(recorder) = previous {
-        obs::set_recorder(recorder);
     }
     let ratio = instrumented.as_secs_f64() / plain.as_secs_f64().max(1e-12);
     let per_span_ns =
@@ -191,10 +193,10 @@ pub fn run() {
         min, max
     );
 
-    // (3) the disabled-recorder overhead budget.
+    // (3) the disabled-span overhead budget.
     let overhead = noop_overhead();
     println!(
-        "\nnoop-recorder overhead: {:.2}% on the hot loop \
+        "\ndisabled-span overhead: {:.2}% on the hot loop \
          ({:.2}ns per span; budget enforced by --check-noop-overhead)",
         (overhead.ratio - 1.0) * 100.0,
         overhead.per_span_ns

@@ -20,7 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treequery_core::obs::alloc::{self, AccountingGuard};
+use treequery_core::obs::alloc::{AccountingGuard, AllocScope};
 use treequery_core::storage::{stack_tree_join_into, Xasr};
 use treequery_core::tree::TreeBuilder;
 use treequery_core::Tree;
@@ -102,19 +102,19 @@ fn to_f64(points: &[(u64, u64)]) -> Vec<(f64, f64)> {
 }
 
 /// Allocations of `reps` warm `label_list` + join sweeps with reused
-/// buffers (warm-up pass included before counting starts). Must be 0:
-/// the posting lists are borrowed slices and the join writes into
-/// caller buffers.
+/// buffers (warm-up pass included before counting starts), counted on
+/// this thread by an allocation scope. Must be 0: the posting lists are
+/// borrowed slices and the join writes into caller buffers.
 pub fn steady_state_allocs(x: &Xasr, reps: usize) -> u64 {
     let _accounting = AccountingGuard::begin();
     let mut stack = Vec::new();
     let mut out = Vec::new();
     std::hint::black_box(sweep_bytes(x, &mut stack, &mut out));
-    let before = alloc::global_stats();
+    let scope = AllocScope::enter("e22.sweeps");
     for _ in 0..reps {
         std::hint::black_box(sweep_bytes(x, &mut stack, &mut out));
     }
-    alloc::global_stats().allocs - before.allocs
+    scope.stats().allocs
 }
 
 pub fn run() {

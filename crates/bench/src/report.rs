@@ -4,10 +4,10 @@
 //! snapshots the experiment submitted — so `BENCH_*.json` trajectories
 //! can be produced and diffed across PRs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use treequery_core::obs::{self, CollectingRecorder, Json};
+use treequery_core::obs::{self, Json};
 
 /// Engine metric snapshots submitted by the currently running
 /// experiment (see [`submit_metrics`]); drained by the builder after
@@ -39,16 +39,20 @@ impl ReportBuilder {
         ReportBuilder::default()
     }
 
-    /// Runs one experiment under a collecting span recorder and appends
-    /// its entry: id, wall time, span summaries with latency
-    /// percentiles, and the metric snapshots the experiment submitted.
+    /// Runs one experiment under a span capture and appends its entry:
+    /// id, wall time, span summaries with latency percentiles, and the
+    /// metric snapshots the experiment submitted. Captures the
+    /// experiment opens itself (`EXPLAIN ANALYZE`, flight-recorded
+    /// queries) forward their spans here too.
     pub fn run(&mut self, id: &str, f: impl FnOnce()) {
         drain_submitted(); // stray submissions from unreported runs
-        let recorder = Arc::new(CollectingRecorder::default());
         let started = Instant::now();
-        obs::with_recorder(recorder.clone(), f);
+        let ((), captured) = obs::capture(f);
         let wall_ns = started.elapsed().as_nanos() as u64;
-        let spans: Vec<Json> = recorder.summary().iter().map(|s| s.to_json()).collect();
+        let spans: Vec<Json> = obs::summarize_spans(&captured.spans)
+            .iter()
+            .map(|s| s.to_json())
+            .collect();
         self.entries.push(
             Json::obj()
                 .set("id", id)
@@ -74,7 +78,7 @@ impl ReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treequery_core::{parse_term, Engine};
+    use treequery_core::{parse_term, Engine, Query};
 
     /// The acceptance-criteria test: a report produced through the same
     /// path as `harness --report` is valid JSON (parsed back here) and
@@ -122,5 +126,32 @@ mod tests {
         let m = metrics[0].get("metrics").unwrap();
         assert_eq!(m.get("queries_executed").unwrap().as_u64(), Some(2));
         assert_eq!(m.get("semijoin_passes").unwrap().as_u64(), Some(6));
+    }
+
+    /// An experiment's own `EXPLAIN ANALYZE` captures nest inside the
+    /// report's: the Horn-SAT and executor spans of E18-style analyses
+    /// reach the entry.
+    #[test]
+    fn report_entries_list_the_spans_of_nested_analyses() {
+        let mut builder = ReportBuilder::new();
+        builder.run("e18", || {
+            let t = parse_term("r(a(b) a b)").unwrap();
+            let e = Engine::new(&t);
+            e.explain_analyze(&Query::cq("q(x0) :- child(x0, x1)."))
+                .unwrap();
+            e.explain_analyze(&Query::datalog(
+                "P(x) :- label(x, a). P(x0) :- firstchild(x0, x), P(x). ?- P.",
+            ))
+            .unwrap();
+        });
+        let entry = &builder.entries[0];
+        let spans = entry.get("spans").unwrap().as_arr().unwrap();
+        let names: Vec<&str> = spans
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Json::as_str))
+            .collect();
+        for expected in ["hornsat.solve", "exec.run", "exec.semijoin"] {
+            assert!(names.contains(&expected), "{expected} missing: {names:?}");
+        }
     }
 }

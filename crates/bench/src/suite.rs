@@ -22,7 +22,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::obs::alloc::{self, AccountingGuard};
-use treequery_core::obs::{self, CollectingRecorder, Json};
+use treequery_core::obs::{self, Json};
 use treequery_core::plan::{applicable_strategies, lower, Strategy};
 use treequery_core::tree::{xmark_document, XmarkConfig};
 use treequery_core::{Engine, Query, Tree};
@@ -252,7 +252,6 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
             treequery_core::QueryOutput::Answer(a) => a.tuples.len() as u64,
         };
 
-        let recorder = std::sync::Arc::new(CollectingRecorder::default());
         // Exact samples, not the power-of-two histogram: bucket-quantized
         // percentiles jump ~2x whenever a case straddles a bucket edge,
         // which would wreck baseline comparison.
@@ -267,7 +266,7 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
         } else {
             std::time::Duration::ZERO
         };
-        obs::with_recorder(recorder.clone(), || {
+        let ((), captured) = obs::capture(|| {
             let case_started = Instant::now();
             while wall.len() < reps || (case_started.elapsed() < time_floor && wall.len() < 400) {
                 alloc::reset_peak_live();
@@ -290,30 +289,28 @@ pub fn run_suite_with(small_nodes: usize, large_nodes: usize, reps: usize) -> Js
         let wall_p50 = wall[wall.len() / 2];
         let wall_p95 = wall[(wall.len() * 95 / 100).min(wall.len() - 1)];
         wall_family.with_label(&case.id).observe(wall_p50);
-        let spans: Vec<Json> = recorder.summary().iter().map(|s| s.to_json()).collect();
-        // Steady-state kernel allocations: extra reps run *without* the
-        // span recorder (its bookkeeping would be charged to the stage
-        // scope), attributed per executor stage by the `AllocScope`
-        // totals. A few warm reps first so every pool worker has touched
-        // its scratch before the measured rep.
+        let spans: Vec<Json> = obs::summarize_spans(&captured.spans)
+            .iter()
+            .map(|s| s.to_json())
+            .collect();
+        // Steady-state kernel allocations: one more rep under its own
+        // capture, attributed per executor stage by the closed
+        // `AllocScope` totals (span bookkeeping is charged to no scope).
+        // A few warm reps first so every pool worker has touched its
+        // scratch before the measured rep.
         let kernel_allocs = kernel_stage(case.strategy).map(|stage| {
-            for _ in 0..5 {
+            let run = || {
                 drop(
                     engine
                         .eval_ir_via(&ir, case.strategy, case.workers)
                         .expect("pinned suite cases execute"),
-                );
+                )
+            };
+            for _ in 0..5 {
+                run();
             }
-            let _ = alloc::take_scope_totals();
-            drop(
-                engine
-                    .eval_ir_via(&ir, case.strategy, case.workers)
-                    .expect("pinned suite cases execute"),
-            );
-            alloc::take_scope_totals()
-                .iter()
-                .find(|(name, _)| *name == stage)
-                .map_or(0, |(_, s)| s.allocs)
+            let ((), captured) = obs::capture(run);
+            captured.alloc_stats(stage).map_or(0, |s| s.allocs)
         });
         let mut case_json = Json::obj()
             .set("id", case.id.as_str())

@@ -331,37 +331,33 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// `EXPLAIN ANALYZE`: evaluates `query` once with a span recorder
-    /// installed and returns the planner's [`ExplainedPlan`] rationale
+    /// `EXPLAIN ANALYZE`: evaluates `query` once under its own span
+    /// capture and returns the planner's [`ExplainedPlan`] rationale
     /// merged with the *measured* per-stage wall times, structured span
-    /// fields, and the executor counter delta for this run (read with
+    /// fields, per-stage allocation totals, and the executor counter
+    /// delta for this run (read with
     /// [`Metrics::snapshot_quiesced`](plan::Metrics::snapshot_quiesced),
     /// so single-query numbers are internally consistent).
     ///
-    /// The recorder is this query's own span capture
-    /// ([`treequery_obs::with_capture`]): it sees the spans of this
-    /// thread and of the pool workers running this query's chunks, never
-    /// those of queries running concurrently. The counter delta and the
-    /// allocation totals are still process- and engine-wide, so queries
-    /// run concurrently on this engine, or accounted runs elsewhere, can
-    /// still show up in those two.
+    /// The capture ([`treequery_obs::capture`]) belongs to this query's
+    /// context: it sees the spans and allocation scopes of this thread
+    /// and of the pool workers running this query's chunks, never those
+    /// of queries running concurrently. Only the counter delta is
+    /// engine-wide, so queries run concurrently on *this* engine can
+    /// still show up in it.
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzedPlan, EngineError> {
-        let recorder = std::sync::Arc::new(treequery_obs::CollectingRecorder::default());
         let before = self.metrics.snapshot_quiesced();
         // Turn on allocation accounting for the run so the per-stage
-        // AllocScopes attribute bytes to the same names the spans use;
-        // drain any totals a previous accounted region left behind.
+        // AllocScopes attribute bytes to the same names the spans use.
         let _accounting = treequery_obs::alloc::AccountingGuard::begin();
-        treequery_obs::alloc::take_scope_totals();
         let started = std::time::Instant::now();
-        let run = treequery_obs::with_capture(recorder.clone(), || {
+        let (run, captured) = treequery_obs::capture(|| {
             let ir = self.lower(query)?;
             let chosen = self.plan(&ir).plan;
             let output = plan::exec::execute(&ir, &chosen, self.tree, &self.metrics)?;
             Ok(((*chosen).clone(), output))
         });
         let total_ns = started.elapsed().as_nanos() as u64;
-        let mem_totals = treequery_obs::alloc::take_scope_totals();
         let (chosen, output) = run?;
         let counters = self.metrics.snapshot_quiesced().delta_since(&before);
         Ok(plan::analyze::assemble(
@@ -369,32 +365,32 @@ impl<'t> Engine<'t> {
             chosen,
             total_ns,
             output,
-            &recorder.summary(),
-            &mem_totals,
+            &treequery_obs::summarize_spans(&captured.spans),
+            &captured.alloc,
             counters,
         ))
     }
 
     /// Evaluates one query through the full pipeline.
     ///
-    /// Cancellation note: evaluation honours the ambient
-    /// [`tree::cancel`] token if the caller installed one
-    /// ([`Engine::eval_with_cancel`] does) — there is deliberately no
-    /// separate cancellation-free code path; with no token installed the
-    /// kernels' checkpoints cost one thread-local read each.
+    /// Cancellation note: evaluation honours the cancel token of the
+    /// caller's [`treequery_obs::QueryCtx`], if any
+    /// ([`Engine::eval_with_cancel`] installs one) — there is
+    /// deliberately no separate cancellation-free code path; with no
+    /// token installed the kernels' checkpoints cost one thread-local
+    /// read each.
     pub fn eval(&self, query: &Query) -> Result<QueryOutput, EngineError> {
         let ir = self.lower(query)?;
         self.eval_ir(&ir)
     }
 
-    /// Evaluates one query under a [`CancelToken`]: the token is
-    /// installed as the thread's ambient token for the duration (worker
-    /// pools re-install it on their threads), every kernel checkpoint
-    /// observes it, and a tripped token surfaces as
-    /// [`EngineError::Cancelled`] within one chunk boundary — partial
-    /// results are discarded, shared state (plan cache, scratch pools,
-    /// metrics) stays consistent. Deadlines are tokens too:
-    /// [`CancelToken::with_deadline`].
+    /// Evaluates one query under a [`CancelToken`]: the token rides in
+    /// the query's context for the duration (worker pools carry it to
+    /// their threads), every kernel checkpoint observes it, and a tripped
+    /// token surfaces as [`EngineError::Cancelled`] within one chunk
+    /// boundary — partial results are discarded, shared state (plan
+    /// cache, scratch pools, metrics) stays consistent. Deadlines are
+    /// tokens too: [`CancelToken::with_deadline`].
     pub fn eval_with_cancel(
         &self,
         query: &Query,
@@ -410,7 +406,7 @@ impl<'t> Engine<'t> {
         ir: &QueryIr,
         token: &CancelToken,
     ) -> Result<QueryOutput, EngineError> {
-        tree::cancel::with_token(token, || self.eval_ir(ir))
+        self.run(ir, None, Some(token))
     }
 
     /// [`Engine::eval_ir_with_cancel`] with the plan already chosen by
@@ -422,12 +418,7 @@ impl<'t> Engine<'t> {
         chosen: &ChosenPlan,
         token: &CancelToken,
     ) -> Result<QueryOutput, EngineError> {
-        tree::cancel::with_token(token, || {
-            if treequery_obs::flight::enabled() {
-                return self.eval_ir_recorded(ir, Some(chosen));
-            }
-            plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics)
-        })
+        self.run(ir, Some(chosen), Some(token))
     }
 
     /// Evaluates an already-lowered query (plan-cache aware). While the
@@ -436,57 +427,85 @@ impl<'t> Engine<'t> {
     /// timings, span tree, slow-query material) in the flight ring; the
     /// disabled path costs one relaxed atomic load.
     pub fn eval_ir(&self, ir: &QueryIr) -> Result<QueryOutput, EngineError> {
-        if treequery_obs::flight::enabled() {
-            return self.eval_ir_recorded(ir, None);
-        }
-        let chosen = self.plan(ir);
-        plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics)
+        self.run(ir, None, None)
     }
 
-    /// The flight-recorded evaluation path: scope a query id around
-    /// planning (unless the caller already chose the plan) + execution
-    /// (worker pools propagate it, so cross-worker chunk spans attribute
-    /// here too), then collect the buffered spans and submit the record.
-    /// Out of line — the common disabled path should pay only the
-    /// `enabled()` load.
-    ///
-    /// When a caller (the query service) already opened a query scope
-    /// around this evaluation — to attribute its own admission/lock
-    /// spans to the same record — the ambient id is reused instead of
-    /// drawing a fresh one, so the wire request and the evaluation are
-    /// one record, not two.
-    #[cold]
-    fn eval_ir_recorded(
+    /// The one evaluation entry: installs the query's context — the
+    /// caller's, plus `token` — once, or not at all when there is no
+    /// token and no flight recorder.
+    fn run(
         &self,
         ir: &QueryIr,
         chosen: Option<&ChosenPlan>,
+        token: Option<&CancelToken>,
+    ) -> Result<QueryOutput, EngineError> {
+        let recorded = treequery_obs::flight::enabled();
+        if !recorded && token.is_none() {
+            return self.execute(ir, chosen).0;
+        }
+        let mut ctx = treequery_obs::QueryCtx::current();
+        if let Some(token) = token {
+            ctx.cancel = Some(token.clone());
+        }
+        if recorded {
+            return self.eval_recorded(ir, chosen, ctx);
+        }
+        ctx.enter(|| self.execute(ir, chosen).0)
+    }
+
+    /// Plans `ir` (unless the caller already chose the plan) and runs it.
+    fn execute(
+        &self,
+        ir: &QueryIr,
+        chosen: Option<&ChosenPlan>,
+    ) -> (Result<QueryOutput, EngineError>, ChosenPlan) {
+        let chosen = chosen.cloned().unwrap_or_else(|| self.plan(ir));
+        let result = plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics);
+        (result, chosen)
+    }
+
+    /// The flight-recorded evaluation path: runs the query under a
+    /// context with a flight query id and capture (worker pools propagate
+    /// it, so cross-worker chunk spans attribute here too), then takes
+    /// the captured spans and submits the record. Out of line — the
+    /// common disabled path should pay only the `enabled()` load.
+    ///
+    /// When a caller (the query service) already opened a flight query
+    /// around this evaluation — to attribute its own admission/lock
+    /// spans to the same record — its context is reused instead of
+    /// drawing a fresh id, so the wire request and the evaluation are
+    /// one record, not two.
+    #[cold]
+    fn eval_recorded(
+        &self,
+        ir: &QueryIr,
+        chosen: Option<&ChosenPlan>,
+        ctx: treequery_obs::QueryCtx,
     ) -> Result<QueryOutput, EngineError> {
         use treequery_obs::flight;
-        let ambient = flight::current_query();
-        let id = if ambient != 0 {
-            ambient
+        let ctx = if ctx.query != 0 {
+            ctx
         } else {
-            flight::begin_query()
+            match flight::begin_query(&ctx) {
+                Some(opened) => opened,
+                // The recorder was uninstalled since the enabled check;
+                // run unrecorded.
+                None => return ctx.enter(|| self.execute(ir, chosen).0),
+            }
         };
-        let choose = || chosen.cloned().unwrap_or_else(|| self.plan(ir));
-        if id == 0 {
-            // The recorder was uninstalled between the enabled check and
-            // the id draw; run unrecorded.
-            return plan::exec::execute(ir, &choose().plan, self.tree, &self.metrics);
-        }
         let before = self.metrics.snapshot();
         let started = std::time::Instant::now();
-        let (result, chosen) = flight::with_current_query(id, || {
-            let chosen = choose();
-            let result = plan::exec::execute(ir, &chosen.plan, self.tree, &self.metrics);
-            (result, chosen)
-        });
+        let (result, chosen) = ctx.enter(|| self.execute(ir, chosen));
         let ChosenPlan {
             plan: chosen,
             cache_hit,
         } = chosen;
         let wall_ns = started.elapsed().as_nanos() as u64;
-        let (spans, dropped_spans) = flight::take_spans(id);
+        let captured = ctx
+            .capture
+            .as_ref()
+            .map(treequery_obs::Capture::take)
+            .unwrap_or_default();
         // The quiesced re-read tags records captured under concurrent
         // load (satellite: surfaced retry count, not just `torn`).
         let counters = self.metrics.snapshot_quiesced().delta_since(&before);
@@ -495,9 +514,9 @@ impl<'t> Engine<'t> {
             Ok(QueryOutput::Answer(a)) => a.tuples.len() as u64,
             Err(_) => 0,
         };
-        let ctx = flight::request_ctx().unwrap_or_default();
+        let request = ctx.request.as_deref().cloned().unwrap_or_default();
         let record = flight::QueryRecord {
-            id,
+            id: ctx.query,
             query: ir.text.clone(),
             source: ir.source.to_string(),
             query_fingerprint: ir.fingerprint,
@@ -512,11 +531,11 @@ impl<'t> Engine<'t> {
             error: result.as_ref().err().map(|e| e.to_string()),
             quiesce_retries: counters.quiesce_retries,
             torn: counters.torn,
-            spans,
-            dropped_spans,
-            tenant: ctx.tenant,
-            trace_id: ctx.trace_id,
-            admission_wait_ns: ctx.admission_wait_ns,
+            spans: captured.spans,
+            dropped_spans: captured.dropped_spans,
+            tenant: request.tenant,
+            trace_id: request.trace_id,
+            admission_wait_ns: request.admission_wait_ns,
             resp_bytes: 0,
         };
         let threshold_ns = self

@@ -2,8 +2,8 @@
 //! measured run actually did — per-stage wall time from `treequery-obs`
 //! spans plus a consistent work-counter delta.
 //!
-//! [`crate::Engine::explain_analyze`] runs the query once under a
-//! [`treequery_obs::CollectingRecorder`], diffs
+//! [`crate::Engine::explain_analyze`] runs the query once under its own
+//! span capture ([`treequery_obs::capture`]), diffs
 //! [`Metrics`](super::Metrics) snapshots around the run (using the
 //! quiesced read so single-query numbers are never torn), and returns an
 //! [`AnalyzedPlan`]: the [`ExplainedPlan`] the planner produced, the

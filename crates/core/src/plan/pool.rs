@@ -28,6 +28,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use treequery_obs::QueryCtx;
+
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// A raw pointer to a caller-stack [`ParJob`], published in the pool
@@ -37,8 +39,8 @@ struct JobRef(*const ParJob);
 
 // SAFETY: the pointee is a ParJob pinned on the stack of a `run_for`
 // caller that does not return before every registered worker has
-// deregistered; all shared fields are Sync (atomics, Mutex, Condvar, an
-// Arc-backed scope handle, and a `dyn Fn + Sync` body).
+// deregistered; all shared fields are Sync (atomics, Mutex, Condvar, a
+// query context of Arc-backed handles, and a `dyn Fn + Sync` body).
 unsafe impl Send for JobRef {}
 
 /// Shared state of one [`WorkerPool::run_for`] call, on the caller's
@@ -53,23 +55,15 @@ struct ParJob {
     status: Mutex<ForStatus>,
     /// Signaled when `unfinished` or `active` reaches zero.
     done: Condvar,
-    /// Submitter's span depth, re-installed around every worker chunk.
-    depth: u32,
-    /// Submitter's flight-recorder query id (0 = none), ditto — so the
-    /// chunk spans a worker closes attribute to the submitting query.
-    flight: u64,
-    /// Submitter's allocation scope, ditto.
-    scope: Option<treequery_obs::alloc::ScopeHandle>,
-    /// Submitter's per-query span capture (`EXPLAIN ANALYZE`), ditto.
-    capture: Option<Arc<dyn treequery_obs::Recorder>>,
-    /// Submitter's ambient cancel token, re-installed around every worker
-    /// chunk so kernel checkpoints inside the body observe it. Once the
-    /// token trips, remaining chunks are *drained* (claimed and counted
-    /// as finished without running the body): the caller's partial result
-    /// is discarded at the executor's final checkpoint anyway, and
-    /// draining is what frees the pool within one chunk instead of one
-    /// sweep.
-    cancel: Option<treequery_tree::CancelToken>,
+    /// The submitter's query context, entered around every worker chunk:
+    /// chunk spans nest under the dispatching stage in the submitter's
+    /// capture, allocations charge its scope, and kernel checkpoints see
+    /// its cancel token. Once the token trips, remaining chunks are
+    /// *drained* (claimed and counted as finished without running the
+    /// body): the caller's partial result is discarded at the executor's
+    /// final checkpoint anyway, and draining is what frees the pool
+    /// within one chunk instead of one sweep.
+    ctx: QueryCtx,
 }
 
 struct ForStatus {
@@ -95,26 +89,15 @@ impl ParJob {
                 break;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                if self.cancel.as_ref().is_some_and(|t| t.check().is_some()) {
+                if self
+                    .ctx
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|t| t.check().is_some())
+                {
                     return; // drain: count the chunk done, skip the work
                 }
-                let run = || {
-                    treequery_obs::flight::with_current_query(self.flight, || {
-                        treequery_obs::with_ambient_depth(self.depth, || body(i))
-                    })
-                };
-                let run = || match &self.capture {
-                    Some(recorder) => treequery_obs::with_capture(Arc::clone(recorder), run),
-                    None => run(),
-                };
-                let run = || match &self.cancel {
-                    Some(token) => treequery_tree::cancel::with_token(token, run),
-                    None => run(),
-                };
-                match &self.scope {
-                    Some(handle) => treequery_obs::alloc::with_scope(handle, run),
-                    None => run(),
-                }
+                self.ctx.enter(|| body(i))
             }));
             let mut st = self.status.lock().expect("job lock poisoned");
             if let Err(p) = result {
@@ -281,11 +264,7 @@ impl WorkerPool {
                 panic: None,
             }),
             done: Condvar::new(),
-            depth: treequery_obs::current_depth(),
-            flight: treequery_obs::flight::current_query(),
-            scope: treequery_obs::alloc::current_scope(),
-            capture: treequery_obs::current_capture(),
-            cancel: treequery_tree::cancel::current(),
+            ctx: QueryCtx::current(),
         };
         {
             let mut state = self.state.lock().expect("pool lock poisoned");
@@ -312,7 +291,7 @@ impl WorkerPool {
             // Same drain rule as `run_worker`: once the submitter's token
             // trips, remaining chunks complete without running.
             let result = catch_unwind(AssertUnwindSafe(|| {
-                if job.cancel.as_ref().is_none_or(|t| t.check().is_none()) {
+                if job.ctx.cancel.as_ref().is_none_or(|t| t.check().is_none()) {
                     body(i)
                 }
             }));
@@ -378,47 +357,17 @@ impl WorkerPool {
             state: Mutex::new((slots, n)),
             done: Condvar::new(),
         });
-        // Propagate the submitter's span depth into the workers so chunk
-        // spans nest under the stage span that dispatched them, the
-        // submitter's flight query id and span capture so worker spans
-        // attribute to the submitting query, and the submitter's allocation scope so chunk
-        // allocations stay charged to the stage that dispatched them. The
-        // handle keeps the scope cell alive for the workers; the owning
-        // frame outlives this call because run_scoped blocks until every
-        // task finished.
-        let depth = treequery_obs::current_depth();
-        let flight = treequery_obs::flight::current_query();
-        let alloc_scope = treequery_obs::alloc::current_scope();
-        let capture = treequery_obs::current_capture();
-        let cancel = treequery_tree::cancel::current();
+        // Every task runs under the submitter's query context, like a
+        // `run_for` chunk (see `ParJob::ctx`).
+        let ctx = QueryCtx::current();
 
         {
             let mut state = self.state.lock().expect("pool lock poisoned");
             for (i, task) in tasks.into_iter().enumerate() {
                 let scope = Arc::clone(&scope);
-                let alloc_scope = alloc_scope.clone();
-                let capture = capture.clone();
-                let cancel = cancel.clone();
+                let ctx = ctx.clone();
                 let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let task = || {
-                            treequery_obs::flight::with_current_query(flight, || {
-                                treequery_obs::with_ambient_depth(depth, task)
-                            })
-                        };
-                        let task = || match &capture {
-                            Some(recorder) => treequery_obs::with_capture(recorder.clone(), task),
-                            None => task(),
-                        };
-                        let task = || match &cancel {
-                            Some(token) => treequery_tree::cancel::with_token(token, task),
-                            None => task(),
-                        };
-                        match &alloc_scope {
-                            Some(handle) => treequery_obs::alloc::with_scope(handle, task),
-                            None => task(),
-                        }
-                    }));
+                    let result = catch_unwind(AssertUnwindSafe(|| ctx.enter(task)));
                     let mut s = scope.state.lock().expect("scope lock poisoned");
                     s.0[i] = Some(result);
                     s.1 -= 1;
@@ -670,6 +619,28 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert!(pool.workers() <= cores, "{} > {cores}", pool.workers());
+    }
+
+    #[test]
+    fn chunk_spans_land_in_the_submitters_capture() {
+        let pool = WorkerPool::global();
+        let ((), captured) = treequery_obs::capture(|| {
+            let _stage = treequery_obs::span("test.stage");
+            pool.run_for(2, 8, &|_| drop(treequery_obs::span("test.chunk")));
+            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
+                .map(|_| {
+                    Box::new(|| drop(treequery_obs::span("test.task"))) as Box<dyn FnOnce() + Send>
+                })
+                .collect();
+            pool.run_scoped(2, tasks);
+        });
+        let count = |name: &str| captured.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!((count("test.chunk"), count("test.task")), (8, 4));
+        // Wherever they ran, they nest under the dispatching stage.
+        assert!(captured
+            .spans
+            .iter()
+            .all(|s| s.depth == u32::from(s.name != "test.stage")));
     }
 
     #[test]

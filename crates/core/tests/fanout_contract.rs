@@ -8,8 +8,9 @@
 
 use std::time::{Duration, Instant};
 
+use treequery_core::obs::QueryCtx;
 use treequery_core::plan::{self, WorkerPool};
-use treequery_core::tree::cancel::{self, CancelToken};
+use treequery_core::tree::CancelToken;
 use treequery_core::tree::{random_recursive_tree, Tree};
 use treequery_core::{Engine, EngineConfig, PlannerConfig, Query};
 
@@ -52,9 +53,11 @@ fn hold_in_flight(n: usize) -> (Vec<std::thread::JoinHandle<()>>, CancelToken) {
                          pre_lt(a, b), pre_lt(b, c), pre_lt(c, a)",
                     ))
                     .unwrap();
-                let r = cancel::with_token(&token, || {
-                    engine.eval_ir_via(&ir, plan::Strategy::CqBacktrack, 1)
-                });
+                let ctx = QueryCtx {
+                    cancel: Some(token),
+                    ..QueryCtx::current()
+                };
+                let r = ctx.enter(|| engine.eval_ir_via(&ir, plan::Strategy::CqBacktrack, 1));
                 assert!(
                     r.is_err(),
                     "the holder query finished before it was cancelled"

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::obs::flight::{self, FlightConfig};
-use treequery_core::obs::{parse_json, traceexport};
+use treequery_core::obs::{parse_json, traceexport, QueryCtx};
 use treequery_core::tree::{random_recursive_tree, Tree};
 use treequery_core::{Engine, EngineConfig, PlannerConfig, Query};
 
@@ -259,12 +259,16 @@ proptest! {
         let tree = small_tree(13, 150);
         let engine = engine_with(&tree, 1, None);
         for (i, q) in batch_queries(n).iter().enumerate() {
-            let ctx = flight::RequestCtx {
+            let request = flight::RequestCtx {
                 tenant: format!("tenant-{}", i % 3),
                 trace_id: format!("trace-{}", i + 1),
                 admission_wait_ns: (i as u64 + 1) * 10,
             };
-            flight::with_request_ctx(ctx, || engine.eval(q)).unwrap();
+            let ctx = QueryCtx {
+                request: Some(std::sync::Arc::new(request)),
+                ..QueryCtx::current()
+            };
+            ctx.enter(|| engine.eval(q)).unwrap();
         }
         let recent = flight::recent();
         flight::uninstall();

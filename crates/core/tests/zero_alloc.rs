@@ -2,9 +2,9 @@
 //!
 //! Each kernel is run warm (several reps, so thread-local scratch pools
 //! and pool-worker buffers reach their final capacities), then once more
-//! inside a named [`AllocScope`]; the scope's attributed allocation
-//! count — including allocations made by pool workers on the kernel's
-//! behalf — must be exactly zero. Covered kernels: axis-image sweeps,
+//! inside a named [`AllocScope`] under a span capture; the scope's
+//! allocation count, as merged into the capture — including allocations
+//! made by pool workers on the kernel's behalf — must be exactly zero. Covered kernels: axis-image sweeps,
 //! the semijoin full reducer, the parallel stack-tree structural join,
 //! and the union-merge XPath evaluator, each at 1 and 4 workers.
 //!
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::cq;
-use treequery_core::obs::alloc::{self, AccountingGuard, AllocScope};
+use treequery_core::obs::alloc::{AccountingGuard, AllocScope};
+use treequery_core::obs::capture;
 use treequery_core::plan::par::{
     par_eval_query, par_image_into, par_stack_tree_join_into, ParJoinScratch, PoolSweeper,
 };
@@ -36,19 +37,17 @@ fn test_tree() -> Tree {
     random_recursive_tree(&mut rng, 2_000, &["a", "b", "c", "d"])
 }
 
-/// Runs `f` warm, then once inside an [`AllocScope`] named `name`, and
-/// asserts the scope saw zero allocations.
+/// Runs `f` warm, then once inside an [`AllocScope`] named `name` under a
+/// capture, and asserts the scope saw zero allocations.
 fn assert_zero_steady_state(name: &'static str, mut f: impl FnMut()) {
     for _ in 0..WARM {
         f();
     }
-    let _ = alloc::take_scope_totals();
-    {
+    let ((), captured) = capture(|| {
         let _scope = AllocScope::enter(name);
         f();
-    }
-    let totals = alloc::take_scope_totals();
-    let stats = totals.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
+    });
+    let stats = captured.alloc_stats(name);
     let allocs = stats.map_or(0, |s| s.allocs);
     assert_eq!(
         allocs, 0,
@@ -56,11 +55,10 @@ fn assert_zero_steady_state(name: &'static str, mut f: impl FnMut()) {
     );
 }
 
-/// All four kernels, both worker counts, in one test function: the
-/// scope-totals table is process-global, so the drain/measure pairs
-/// must not interleave across threads.
-#[test]
-fn kernels_are_allocation_free_in_steady_state() {
+/// All four kernels at one worker count. Attribution is per query
+/// context, so the two worker counts run as separate tests; only the
+/// four-worker one touches the pool.
+fn kernels_are_allocation_free_at(workers: usize) {
     let _accounting = AccountingGuard::begin();
     let t = test_tree();
     let n = t.len();
@@ -74,63 +72,56 @@ fn kernels_are_allocation_free_in_steady_state() {
     let forest = cq::JoinForest::build(&cq_query).expect("query is acyclic");
     let union_query = xpath::parse_xpath("//a | //b[c]").unwrap();
 
-    for &(workers, sweep_name, semi_name, join_name, union_name) in &[
-        (
-            1usize,
-            "zero_alloc.sweep.w1",
-            "zero_alloc.semijoin.w1",
-            "zero_alloc.join.w1",
-            "zero_alloc.union.w1",
-        ),
-        (
-            4usize,
-            "zero_alloc.sweep.w4",
-            "zero_alloc.semijoin.w4",
-            "zero_alloc.join.w4",
-            "zero_alloc.union.w4",
-        ),
-    ] {
-        // Axis-image sweeps: one partitionable axis, one sibling axis
-        // (the carry-chained case).
-        let mut out = NodeSet::empty(n);
-        assert_zero_steady_state(sweep_name, || {
-            par_image_into(Axis::Descendant, &t, &source, workers, &metrics, &mut out);
-            par_image_into(
-                Axis::FollowingSibling,
-                &t,
-                &source,
-                workers,
-                &metrics,
-                &mut out,
-            );
-        });
-
-        // Semijoin full reducer (Yannakakis passes over the join forest).
-        let seq = cq::SeqSweeper;
-        let pooled = PoolSweeper {
+    // Axis-image sweeps: one partitionable axis, one sibling axis (the
+    // carry-chained case).
+    let mut out = NodeSet::empty(n);
+    assert_zero_steady_state("zero_alloc.sweep", || {
+        par_image_into(Axis::Descendant, &t, &source, workers, &metrics, &mut out);
+        par_image_into(
+            Axis::FollowingSibling,
+            &t,
+            &source,
             workers,
-            metrics: &metrics,
-        };
-        let sweeper: &dyn cq::AxisSweeper = if workers > 1 { &pooled } else { &seq };
-        assert_zero_steady_state(semi_name, || {
-            let sets = cq::full_reduce_with(&cq_query, &t, &forest, sweeper)
-                .expect("query is satisfiable on this tree");
-            scratch::put_set_vec(sets);
-        });
+            &metrics,
+            &mut out,
+        );
+    });
 
-        // Parallel stack-tree structural join with stitched stack seeds.
-        let mut ws = ParJoinScratch::new();
-        let mut pairs = Vec::new();
-        assert_zero_steady_state(join_name, || {
-            par_stack_tree_join_into(la, lb, workers, &metrics, &mut ws, &mut pairs);
-        });
+    // Semijoin full reducer (Yannakakis passes over the join forest).
+    let seq = cq::SeqSweeper;
+    let pooled = PoolSweeper {
+        workers,
+        metrics: &metrics,
+    };
+    let sweeper: &dyn cq::AxisSweeper = if workers > 1 { &pooled } else { &seq };
+    assert_zero_steady_state("zero_alloc.semijoin", || {
+        let sets = cq::full_reduce_with(&cq_query, &t, &forest, sweeper)
+            .expect("query is satisfiable on this tree");
+        scratch::put_set_vec(sets);
+    });
 
-        // Union-merge set-at-a-time evaluation.
-        assert_zero_steady_state(union_name, || {
-            let s = par_eval_query(&union_query, &t, workers, &metrics);
-            scratch::put_set(s);
-        });
-    }
+    // Parallel stack-tree structural join with stitched stack seeds.
+    let mut ws = ParJoinScratch::new();
+    let mut pairs = Vec::new();
+    assert_zero_steady_state("zero_alloc.join", || {
+        par_stack_tree_join_into(la, lb, workers, &metrics, &mut ws, &mut pairs);
+    });
+
+    // Union-merge set-at-a-time evaluation.
+    assert_zero_steady_state("zero_alloc.union", || {
+        let s = par_eval_query(&union_query, &t, workers, &metrics);
+        scratch::put_set(s);
+    });
+}
+
+#[test]
+fn kernels_are_allocation_free_in_steady_state_at_one_worker() {
+    kernels_are_allocation_free_at(1);
+}
+
+#[test]
+fn kernels_are_allocation_free_in_steady_state_at_four_workers() {
+    kernels_are_allocation_free_at(4);
 }
 
 proptest! {

@@ -152,8 +152,8 @@ impl HornFormula {
     ///
     /// Emits a `hornsat.solve` span carrying the formula size (the
     /// quantity the Theorem 3.2 linear bound charges) and the number of
-    /// variables derived true, when a `treequery_obs` recorder is
-    /// installed.
+    /// variables derived true, when the query context carries a
+    /// `treequery_obs` capture.
     pub fn solve(&self) -> Solution {
         let mut span = treequery_obs::span("hornsat.solve");
         let _mem = treequery_obs::alloc::AllocScope::enter("hornsat.solve");

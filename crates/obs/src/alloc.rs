@@ -20,20 +20,22 @@
 //!   dot-separated names the span layer uses (`exec.semijoin`,
 //!   `hornsat.solve`, …). Scopes are a thread-local stack: the innermost
 //!   scope on the allocating thread is charged (self-exclusive, like a
-//!   span's self time). Worker pools propagate the submitting thread's
-//!   scope with [`current_scope`] + [`with_scope`], so a kernel chunk
-//!   running on a pool worker still charges the stage that dispatched
-//!   it.
+//!   span's self time). The scope is part of the
+//!   [`QueryCtx`](crate::QueryCtx), so a kernel chunk running on a pool
+//!   worker still charges the stage that dispatched it.
 //!
-//! Closed scopes merge their counters into a process-wide per-name table
-//! read by `EXPLAIN ANALYZE` ([`take_scope_totals`]) — which is what
-//! puts `mem` columns next to the per-stage wall times.
+//! A closed scope merges its counters into the capture it was entered
+//! under ([`Captured::alloc`](crate::Captured::alloc)) — which is what
+//! puts `mem` columns next to `EXPLAIN ANALYZE`'s per-stage wall times.
+//! Scopes entered outside any capture report only through
+//! [`AllocScope::stats`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use crate::ctx::Capture;
 
 /// The counting allocator. Installed by `treequery-obs` as the process
 /// `#[global_allocator]`; do not install a second one.
@@ -120,7 +122,7 @@ pub struct ScopeStats {
 }
 
 impl ScopeStats {
-    fn merge(&mut self, other: &ScopeStats) {
+    pub(crate) fn merge(&mut self, other: &ScopeStats) {
         self.allocs += other.allocs;
         self.frees += other.frees;
         self.bytes += other.bytes;
@@ -151,10 +153,11 @@ pub struct GlobalStats {
 }
 
 std::thread_local! {
-    /// The innermost attribution scope on this thread. A raw pointer so
+    /// The innermost attribution scope on this thread: the allocator's
+    /// fast-path copy of the current context's scope. A raw pointer so
     /// the allocation hot path never touches a type with a destructor;
-    /// validity is guaranteed by the [`AllocScope`]/[`with_scope`] frame
-    /// that set it (the pointer is cleared before that frame releases
+    /// validity is guaranteed by the [`AllocScope`] or context frame
+    /// that set it (the pointer is restored before that frame releases
     /// its `Arc`).
     static CURRENT: Cell<*const ScopeCell> = const { Cell::new(std::ptr::null()) };
 }
@@ -171,9 +174,9 @@ fn charge_alloc(size: usize) {
     G_PEAK.fetch_max(live, Ordering::Relaxed);
     let cell = CURRENT.with(Cell::get);
     if !cell.is_null() {
-        // SAFETY: non-null means an AllocScope / with_scope frame on this
-        // thread is alive and holds the Arc; it nulls the pointer before
-        // dropping it.
+        // SAFETY: non-null means an AllocScope or context frame on this
+        // thread is alive and holds the Arc; it restores the pointer
+        // before dropping it.
         unsafe { (*cell).charge_alloc(size) };
     }
 }
@@ -284,19 +287,6 @@ pub fn reset_peak_live() {
     G_PEAK.store(G_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Closed-scope totals by stage name, merged as owner scopes drop.
-static SCOPE_TOTALS: Mutex<BTreeMap<&'static str, ScopeStats>> = Mutex::new(BTreeMap::new());
-
-/// Drains and returns the per-stage totals accumulated since the last
-/// call (name-sorted). `EXPLAIN ANALYZE` drains before and after its
-/// measured run so the table holds exactly that run's stages; like the
-/// span recorder slot, the table is process-global — concurrent analyzed
-/// runs would mix their attributions.
-pub fn take_scope_totals() -> Vec<(&'static str, ScopeStats)> {
-    let mut map = SCOPE_TOTALS.lock().expect("scope totals poisoned");
-    std::mem::take(&mut *map).into_iter().collect()
-}
-
 /// An attribution scope: while it is the innermost scope on a thread,
 /// that thread's allocations are charged to `name`. Inert (and free
 /// beyond one relaxed load) when accounting is off.
@@ -305,6 +295,8 @@ pub struct AllocScope {
     /// `Some` only while accounting was on at entry.
     cell: Option<Arc<ScopeCell>>,
     prev: *const ScopeCell,
+    /// The capture the scope's totals merge into when it closes.
+    capture: Option<Capture>,
 }
 
 impl AllocScope {
@@ -316,8 +308,10 @@ impl AllocScope {
             return AllocScope {
                 cell: None,
                 prev: std::ptr::null(),
+                capture: None,
             };
         }
+        let capture = crate::ctx::with_current(|c| c.capture.clone());
         // The Arc itself is allocated before the scope becomes current,
         // so a scope never charges its own bookkeeping to itself.
         let cell = Arc::new(ScopeCell::new(name));
@@ -325,6 +319,7 @@ impl AllocScope {
         AllocScope {
             cell: Some(cell),
             prev,
+            capture,
         }
     }
 
@@ -340,12 +335,12 @@ impl AllocScope {
 impl Drop for AllocScope {
     fn drop(&mut self) {
         if let Some(cell) = self.cell.take() {
-            // Restore the stack *before* any bookkeeping that may
-            // allocate, so the merge below is charged to the parent.
             CURRENT.with(|c| c.set(self.prev));
-            let stats = cell.stats();
-            let mut map = SCOPE_TOTALS.lock().expect("scope totals poisoned");
-            map.entry(cell.name).or_default().merge(&stats);
+            if let Some(capture) = &self.capture {
+                // Observer bookkeeping is charged to no scope.
+                let _unattributed = install(None);
+                capture.merge_alloc(cell.name, &cell.stats());
+            }
         }
     }
 }
@@ -363,8 +358,8 @@ pub fn current_scope() -> Option<ScopeHandle> {
     if ptr.is_null() {
         return None;
     }
-    // SAFETY: a non-null CURRENT means the AllocScope / with_scope frame
-    // that set it is still alive on this thread (they null the pointer
+    // SAFETY: a non-null CURRENT means the AllocScope or context frame
+    // that set it is still alive on this thread (they restore the pointer
     // before releasing their Arc), so the strong count is ≥ 1 and the
     // pointer came from `Arc::as_ptr`.
     unsafe {
@@ -373,28 +368,32 @@ pub fn current_scope() -> Option<ScopeHandle> {
     }
 }
 
-/// Runs `f` with `handle`'s scope installed as this thread's innermost
-/// scope (restored afterwards, also on panic). This is how pool workers
-/// charge the submitting stage.
-pub fn with_scope<T>(handle: &ScopeHandle, f: impl FnOnce() -> T) -> T {
-    struct Restore(*const ScopeCell);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
+/// Makes `handle`'s scope (or, for `None`, no scope) this thread's
+/// innermost one until the returned guard drops. This is how a
+/// [`QueryCtx`](crate::QueryCtx) charges pool-worker allocations to the
+/// submitting stage, and how spans and captures keep their own
+/// bookkeeping out of every scope.
+pub(crate) fn install(handle: Option<&ScopeHandle>) -> Installed {
+    let ptr = handle.map_or(std::ptr::null(), |h| Arc::as_ptr(&h.0));
+    Installed(CURRENT.with(|c| c.replace(ptr)))
+}
+
+/// Restores the scope [`install`] replaced.
+pub(crate) struct Installed(*const ScopeCell);
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(self.0));
     }
-    let prev = CURRENT.with(|c| c.replace(Arc::as_ptr(&handle.0)));
-    let _restore = Restore(prev);
-    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes the accounting tests: the enable switch and the totals
-    /// table are process-global.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// Serializes the accounting tests: the enable switch is
+    /// process-global, and `disabled_scopes_are_inert` needs it off.
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -440,29 +439,34 @@ mod tests {
     }
 
     #[test]
-    fn closed_scopes_merge_into_the_totals_table() {
+    fn closed_scopes_merge_into_their_capture() {
         let _l = lock();
         let _on = AccountingGuard::begin();
-        take_scope_totals();
-        {
-            let _s = AllocScope::enter("test.totals");
-            let _v: Vec<u8> = Vec::with_capacity(2048);
-        }
-        let totals = take_scope_totals();
-        let row = totals.iter().find(|(n, _)| *n == "test.totals");
-        let (_, stats) = row.expect("closed scope recorded");
-        assert!(stats.bytes >= 2048, "{stats:?}");
+        let ((), captured) = crate::capture(|| {
+            for _ in 0..2 {
+                let _s = AllocScope::enter("test.totals");
+                let _v: Vec<u8> = Vec::with_capacity(2048);
+            }
+        });
+        let stats = captured
+            .alloc_stats("test.totals")
+            .expect("closed scope recorded");
+        assert!(stats.bytes >= 2 * 2048, "{stats:?}");
+        // Outside a capture, a closed scope reports only through stats().
+        let _s = AllocScope::enter("test.uncaptured");
+        assert!(!crate::recording());
     }
 
     #[test]
-    fn handles_carry_attribution_across_threads() {
+    fn contexts_carry_attribution_across_threads() {
         let _l = lock();
         let _on = AccountingGuard::begin();
         let scope = AllocScope::enter("test.cross");
-        let handle = current_scope().expect("scope is current");
+        let ctx = crate::QueryCtx::current();
+        assert!(ctx.alloc.is_some(), "the context carries the scope");
         std::thread::scope(|s| {
             s.spawn(|| {
-                with_scope(&handle, || {
+                ctx.enter(|| {
                     let _v: Vec<u8> = Vec::with_capacity(8192);
                 });
             });

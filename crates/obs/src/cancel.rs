@@ -1,5 +1,6 @@
-//! Cooperative cancellation: an ambient [`CancelToken`] the evaluation
-//! kernels poll at chunk boundaries.
+//! Cooperative cancellation: the [`CancelToken`] of the current
+//! [`QueryCtx`](crate::QueryCtx), which the evaluation kernels poll at
+//! chunk boundaries.
 //!
 //! The query service needs two things a synchronous evaluator does not
 //! give for free: per-query **deadlines** and cross-connection
@@ -9,11 +10,12 @@
 //!
 //! * **One code path.** The fuzz oracle, the bench suite, and the server
 //!   must all exercise the *same* kernel loops. So cancellation is not a
-//!   wrapper or a cloned "cancellable" kernel: the token is installed in
-//!   a thread-local ([`with_token`]) and the checkpoints ([`cancelled`])
-//!   live inside the one sweep/semijoin/enumerate implementation. With
-//!   no token installed a checkpoint is a thread-local read and a
-//!   branch — unobservable next to the work it guards.
+//!   wrapper or a cloned "cancellable" kernel: the token rides in the
+//!   query's context ([`QueryCtx::cancel`](crate::QueryCtx::cancel)) and
+//!   the checkpoints ([`cancelled`]) live inside the one
+//!   sweep/semijoin/enumerate implementation. With no token installed a
+//!   checkpoint is a thread-local read and a branch — unobservable next
+//!   to the work it guards.
 //! * **Chunk granularity.** Checkpoints sit between axis sweeps,
 //!   semijoin passes, fixpoint rounds, pool chunks, and every few
 //!   hundred enumerated tuples — never inside the innermost node loops.
@@ -30,7 +32,7 @@
 //! (one `Instant::now` every [`DEADLINE_STRIDE`] checkpoints) so tight
 //! enumeration loops do not pay a timer call per tuple.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,38 +162,16 @@ impl CancelToken {
 pub const DEADLINE_STRIDE: u32 = 32;
 
 thread_local! {
-    static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
     static STRIDE: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Installs `token` as the ambient token for the duration of `f`
-/// (restoring the previous one after — nesting installs the innermost).
-/// Every [`cancelled`] checkpoint reached under `f` *on this thread*
-/// observes it; [`current`] lets pool workers re-install it on theirs.
-pub fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(token.clone()));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The ambient token, if one is installed on this thread.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// The kernel checkpoint: true iff an ambient token is installed and has
-/// tripped. With no token this is one thread-local read. Deadline clock
-/// reads are throttled to every [`DEADLINE_STRIDE`]th call.
+/// The kernel checkpoint: true iff the current context carries a token
+/// that has tripped. With no token this is one thread-local read.
+/// Deadline clock reads are throttled to every [`DEADLINE_STRIDE`]th
+/// call.
 pub fn cancelled() -> bool {
-    CURRENT.with(|c| {
-        let slot = c.borrow();
-        let Some(token) = slot.as_ref() else {
+    crate::ctx::with_current(|c| {
+        let Some(token) = c.cancel.as_ref() else {
             return false;
         };
         if token.0.flag.load(Ordering::Relaxed) != FLAG_LIVE {
@@ -211,11 +191,11 @@ pub fn cancelled() -> bool {
     })
 }
 
-/// The reason the ambient token tripped, if it did. Unlike
+/// The reason the current context's token tripped, if it did. Unlike
 /// [`cancelled`], always consults the deadline clock — callers use this
 /// at query entry/exit where one timer read is fine.
 pub fn active_reason() -> Option<CancelReason> {
-    CURRENT.with(|c| c.borrow().as_ref().and_then(CancelToken::check))
+    crate::ctx::with_current(|c| c.cancel.as_ref().and_then(CancelToken::check))
 }
 
 #[cfg(test)]
@@ -258,13 +238,19 @@ mod tests {
         assert_eq!(t.check(), Some(CancelReason::Cancelled));
     }
 
+    fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
+        crate::QueryCtx {
+            cancel: Some(token.clone()),
+            ..crate::QueryCtx::current()
+        }
+        .enter(f)
+    }
+
     #[test]
     fn ambient_install_and_restore() {
         assert!(!cancelled());
-        assert!(current().is_none());
         let t = CancelToken::new();
         with_token(&t, || {
-            assert!(current().is_some());
             assert!(!cancelled());
             t.cancel();
             assert!(cancelled());
@@ -276,8 +262,8 @@ mod tests {
             });
             assert!(cancelled());
         });
-        assert!(current().is_none());
         assert!(!cancelled());
+        assert_eq!(active_reason(), None);
     }
 
     #[test]
@@ -295,10 +281,11 @@ mod tests {
     #[test]
     fn restore_survives_a_panic() {
         let t = CancelToken::new();
+        t.cancel();
         let r = std::panic::catch_unwind(|| {
             with_token(&t, || panic!("boom"));
         });
         assert!(r.is_err());
-        assert!(current().is_none());
+        assert!(!cancelled());
     }
 }

@@ -11,7 +11,7 @@
 //! in a separate ring with their full `EXPLAIN ANALYZE` text and a
 //! re-runnable reproducer rendering ([`slow_recent`]).
 //!
-//! **Disabled path.** Like the span recorder, the flight recorder costs
+//! **Disabled path.** Like span capture, the flight recorder costs
 //! nothing when off: its enable bit lives in the same atomic word the
 //! span gate loads, so instrumented code pays one relaxed load total for
 //! both subsystems (budgeted by `--check-noop-overhead`).
@@ -23,20 +23,20 @@
 //! settle, the ring holds exactly the newest `capacity` records (the
 //! property the eviction proptest pins).
 //!
-//! Span capture rides the existing [`crate::span`] machinery: the engine
-//! scopes a thread-local *current query id* around each evaluation (the
-//! worker pool propagates it into chunk tasks alongside ambient depth),
-//! open spans remember it, and closed spans are buffered per query until
-//! the engine calls [`take_spans`] and [`submit`]s the finished record.
+//! Span capture is the one [`crate::Capture`] path: [`begin_query`] gives
+//! a query its id and a capture bounded by
+//! [`FlightConfig::max_spans_per_query`], the engine (or the serving
+//! layer, which opens the query before admission) runs it under that
+//! [`QueryCtx`] — the worker pool propagates it into chunk tasks — and
+//! the engine takes the captured spans when it [`submit`]s the record.
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::ctx::{Capture, QueryCtx};
 use crate::json::Json;
-use crate::recorder::span_to_json;
 use crate::span::SpanRecord;
+use crate::summary::span_to_json;
 
 /// Tunables for the flight recorder. [`FlightConfig::from_env`] resolves
 /// the slow threshold from `TREEQUERY_SLOW_MS`.
@@ -127,8 +127,8 @@ pub struct QueryRecord {
     /// Whether the counter read never quiesced — the record's timing is
     /// exact but any attached counters are degraded.
     pub torn: bool,
-    /// The spans that closed while this query was current, in close
-    /// order (the raw material for the Chrome trace export).
+    /// The spans captured under this query's context, in close order
+    /// (the raw material for the Chrome trace export).
     pub spans: Vec<SpanRecord>,
     /// Spans dropped past [`FlightConfig::max_spans_per_query`].
     pub dropped_spans: u64,
@@ -285,36 +285,18 @@ impl<T: Clone> TicketRing<T> {
     }
 }
 
-/// Per-query buffer of closed spans awaiting [`take_spans`].
-struct Pending {
-    spans: Vec<SpanRecord>,
-    dropped: u64,
-}
-
 struct FlightState {
     config: FlightConfig,
     next_id: AtomicU64,
     recent: TicketRing<Arc<QueryRecord>>,
     slow: TicketRing<SlowQuery>,
-    pending: Mutex<HashMap<u64, Pending>>,
 }
 
 static STATE: Mutex<Option<Arc<FlightState>>> = Mutex::new(None);
 
-thread_local! {
-    /// The query id spans opened on this thread attribute to (0 = none).
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-    /// The wire-request context the serving layer attached (None for
-    /// direct engine use).
-    static REQUEST_CTX: std::cell::RefCell<Option<RequestCtx>> =
-        const { std::cell::RefCell::new(None) };
-}
-
 /// Wire-request context the serving layer attaches around an evaluation
-/// so the engine-built [`QueryRecord`] carries tenant attribution, the
-/// end-to-end trace id, and the admission wait. Scoped with
-/// [`with_request_ctx`]; read by the engine via [`request_ctx`] when it
-/// builds the record.
+/// ([`QueryCtx::request`]) so the engine-built [`QueryRecord`] carries
+/// tenant attribution, the end-to-end trace id, and the admission wait.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestCtx {
     /// The session's tenant.
@@ -323,25 +305,6 @@ pub struct RequestCtx {
     pub trace_id: String,
     /// Nanoseconds the request waited in admission.
     pub admission_wait_ns: u64,
-}
-
-/// Runs `f` with `ctx` as this thread's request context, restoring the
-/// previous context afterwards (also on panic).
-pub fn with_request_ctx<T>(ctx: RequestCtx, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<RequestCtx>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            REQUEST_CTX.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let previous = REQUEST_CTX.with(|c| c.borrow_mut().replace(ctx));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// The request context attached to this thread, if any.
-pub fn request_ctx() -> Option<RequestCtx> {
-    REQUEST_CTX.with(|c| c.borrow().clone())
 }
 
 fn state() -> Option<Arc<FlightState>> {
@@ -355,7 +318,6 @@ pub fn install(config: FlightConfig) {
         recent: TicketRing::new(config.capacity),
         slow: TicketRing::new(config.slow_capacity),
         next_id: AtomicU64::new(0),
-        pending: Mutex::new(HashMap::new()),
         config,
     });
     let mut slot = STATE.lock().expect("flight state poisoned");
@@ -384,70 +346,20 @@ pub fn slow_threshold_ns() -> Option<u64> {
     state().and_then(|s| s.config.slow_threshold_ns)
 }
 
-/// Assigns the next query id (1-based). Returns 0 when the recorder is
-/// not installed — 0 is never a valid query id.
-pub fn begin_query() -> u64 {
-    match state() {
-        Some(s) => s.next_id.fetch_add(1, Ordering::Relaxed) + 1,
-        None => 0,
-    }
-}
-
-/// The query id spans opened on this thread currently attribute to
-/// (0 = none). Worker pools capture this on the submitting thread and
-/// replay it on workers via [`with_current_query`], exactly like
-/// ambient span depth.
-#[inline]
-pub fn current_query() -> u64 {
-    CURRENT.with(|c| c.get())
-}
-
-/// Runs `f` with this thread's current query id set to `id`, restoring
-/// the previous id afterwards (also on panic).
-pub fn with_current_query<T>(id: u64, f: impl FnOnce() -> T) -> T {
-    struct Restore(u64);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| c.set(self.0));
-        }
-    }
-    let previous = CURRENT.with(|c| c.replace(id));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Buffers a closed span for query `id`. Called by the span core when a
-/// span that opened under a current query closes.
-pub(crate) fn deliver(id: u64, span: SpanRecord) {
-    let Some(state) = state() else { return };
-    let mut pending = state.pending.lock().expect("flight pending poisoned");
-    // Bound the buffer map itself: a query that never submits (e.g. a
-    // panicking evaluation) must not pin memory forever.
-    if pending.len() >= 1024 && !pending.contains_key(&id) {
-        return;
-    }
-    let entry = pending.entry(id).or_insert_with(|| Pending {
-        spans: Vec::new(),
-        dropped: 0,
-    });
-    if entry.spans.len() >= state.config.max_spans_per_query {
-        entry.dropped += 1;
-    } else {
-        entry.spans.push(span);
-    }
-}
-
-/// Removes and returns the spans buffered for query `id` (close order)
-/// plus the count of spans dropped past the per-query cap.
-pub fn take_spans(id: u64) -> (Vec<SpanRecord>, u64) {
-    let Some(state) = state() else {
-        return (Vec::new(), 0);
-    };
-    let mut pending = state.pending.lock().expect("flight pending poisoned");
-    match pending.remove(&id) {
-        Some(p) => (p.spans, p.dropped),
-        None => (Vec::new(), 0),
-    }
+/// Opens a flight-recorded query on top of `ctx`: the next query id
+/// (1-based) and a fresh capture bounded by
+/// [`FlightConfig::max_spans_per_query`], nested in `ctx`'s capture if it
+/// has one. `None` when the recorder is not installed.
+pub fn begin_query(ctx: &QueryCtx) -> Option<QueryCtx> {
+    let state = state()?;
+    Some(QueryCtx {
+        query: state.next_id.fetch_add(1, Ordering::Relaxed) + 1,
+        capture: Some(Capture::new(
+            state.config.max_spans_per_query,
+            ctx.capture.clone(),
+        )),
+        ..ctx.clone()
+    })
 }
 
 /// Submits a finished record into the recent ring (and, when
@@ -634,7 +546,7 @@ mod tests {
         let _g = test_lock();
         uninstall();
         assert!(!enabled());
-        assert_eq!(begin_query(), 0);
+        assert!(begin_query(&QueryCtx::default()).is_none());
         assert!(recent().is_empty());
         assert!(slow_recent().is_empty());
         submit(record(1), None); // dropped silently
@@ -711,52 +623,30 @@ mod tests {
     }
 
     #[test]
-    fn pending_spans_are_buffered_per_query_and_capped() {
+    fn begun_queries_capture_their_spans_up_to_the_cap() {
         let _g = test_lock();
         install(FlightConfig {
             max_spans_per_query: 2,
             ..FlightConfig::default()
         });
-        let span = |name: &'static str| SpanRecord {
-            name,
-            start_ns: 0,
-            duration_ns: 1,
-            depth: 0,
-            thread: 0,
-            fields: Vec::new(),
-        };
-        let q = begin_query();
-        assert!(q > 0);
-        deliver(q, span("a"));
-        deliver(q, span("b"));
-        deliver(q, span("c")); // past the cap
-        deliver(q + 1, span("other"));
-        let (spans, dropped) = take_spans(q);
-        assert_eq!(
-            spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
-        assert_eq!(dropped, 1);
-        // Taking is destructive; the other query's buffer is untouched.
-        assert_eq!(take_spans(q).0.len(), 0);
-        assert_eq!(take_spans(q + 1).0.len(), 1);
-        uninstall();
-    }
-
-    #[test]
-    fn request_ctx_scopes_and_restores() {
-        assert_eq!(request_ctx(), None);
-        let ctx = RequestCtx {
-            tenant: "alpha".into(),
-            trace_id: "t-1".into(),
-            admission_wait_ns: 5,
-        };
-        let inner = with_request_ctx(ctx.clone(), || {
-            assert_eq!(request_ctx(), Some(ctx.clone()));
-            with_request_ctx(RequestCtx::default(), request_ctx)
+        let q = begin_query(&QueryCtx::default()).expect("installed");
+        let other = begin_query(&QueryCtx::default()).expect("installed");
+        assert!(q.query > 0 && other.query == q.query + 1);
+        q.enter(|| {
+            for name in ["a", "b", "c"] {
+                let _s = crate::span(name);
+            }
         });
-        assert_eq!(inner, Some(RequestCtx::default()));
-        assert_eq!(request_ctx(), None);
+        other.enter(|| {
+            let _s = crate::span("other");
+        });
+        let taken = q.capture.as_ref().unwrap().take();
+        let names: Vec<_> = taken.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(taken.dropped_spans, 1);
+        // The other query's capture is its own.
+        assert_eq!(other.capture.as_ref().unwrap().take().spans.len(), 1);
+        uninstall();
     }
 
     #[test]
@@ -813,17 +703,6 @@ mod tests {
         // The typo'd knob falls back (and warns once, in crate::env).
         assert_eq!(FlightConfig::from_slow_ms("25O").slow_threshold_ns, None);
         assert!(crate::env::has_warned("TREEQUERY_SLOW_MS"));
-    }
-
-    #[test]
-    fn current_query_scopes_and_restores() {
-        assert_eq!(current_query(), 0);
-        let inner = with_current_query(42, || {
-            assert_eq!(current_query(), 42);
-            with_current_query(7, current_query)
-        });
-        assert_eq!(inner, 7);
-        assert_eq!(current_query(), 0);
     }
 
     #[test]

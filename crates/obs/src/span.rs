@@ -1,12 +1,13 @@
-//! The span core: guards with monotonic timing, structured fields, and a
-//! per-thread depth stack.
+//! The span core: guards with monotonic timing and structured fields,
+//! nested by the depth of the current [`QueryCtx`](crate::QueryCtx) and
+//! delivered to its [`Capture`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::Recorder;
+use crate::ctx::Capture;
 
 /// A structured field value attached to a span.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,7 +42,7 @@ pub struct Field {
     pub value: FieldValue,
 }
 
-/// A closed span, as delivered to a [`Recorder`].
+/// A closed span, as delivered to a [`Capture`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// The span name (dot-separated taxonomy, e.g. `exec.semijoin`).
@@ -51,7 +52,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Monotonic wall time between open and close, in nanoseconds.
     pub duration_ns: u64,
-    /// Nesting depth on the opening thread (0 = outermost).
+    /// Nesting depth within the query context it opened under
+    /// (0 = outermost).
     pub depth: u32,
     /// A dense per-thread id (assigned on first span per thread).
     pub thread: u64,
@@ -95,40 +97,11 @@ fn thread_id() -> u64 {
     })
 }
 
-thread_local! {
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// The current thread's span nesting depth (the depth the *next* span
-/// opened here would record). Worker pools capture this on the
-/// submitting thread and replay it on workers via
-/// [`with_ambient_depth`], so chunk spans nest under the stage span that
-/// dispatched them instead of starting a fresh tree at depth 0.
-pub fn current_depth() -> u32 {
-    DEPTH.with(|d| d.get())
-}
-
-/// Runs `f` with this thread's span depth set to `depth`, restoring the
-/// previous depth afterwards (also on panic).
-pub fn with_ambient_depth<T>(depth: u32, f: impl FnOnce() -> T) -> T {
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DEPTH.with(|d| d.set(self.0));
-        }
-    }
-    let previous = DEPTH.with(|d| d.replace(depth));
-    let _restore = Restore(previous);
-    f()
-}
-
 /// Opens a span. When all observability is off this is one relaxed
 /// atomic load and returns an inert guard (no clock read, no
-/// allocation). A span is live when a [`Recorder`] is installed (this
-/// thread's [`crate::with_capture`] one wins over the process-wide one), or when
-/// the [`crate::flight`] recorder is on *and* the opening thread is
-/// inside a query scope (so flight capture never pays for spans outside
-/// an evaluation).
+/// allocation). A span is live only when the current
+/// [`QueryCtx`](crate::QueryCtx) carries a [`Capture`]: `EXPLAIN
+/// ANALYZE`, a harness report, or a flight-recorded query.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     let flags = crate::flags();
@@ -140,32 +113,26 @@ pub fn span(name: &'static str) -> Span {
 
 #[cold]
 fn span_slow(name: &'static str, flags: u32) -> Span {
-    let captured = if flags & crate::FLAG_CAPTURE != 0 {
-        crate::current_capture()
-    } else {
-        None
-    };
-    let recorder = if captured.is_some() {
-        captured
-    } else if flags & crate::FLAG_RECORDER != 0 {
-        crate::current_recorder()
-    } else {
-        None
-    };
-    let flight = if flags & crate::FLAG_FLIGHT != 0 {
-        crate::flight::current_query()
-    } else {
-        0
-    };
-    if recorder.is_none() && flight == 0 {
+    if flags & crate::FLAG_CAPTURE == 0 {
         return Span { active: None, name };
     }
-    Span::open(name, recorder, flight)
+    match crate::ctx::open_span() {
+        Some((capture, depth)) => Span {
+            active: Some(ActiveSpan {
+                capture,
+                start: Instant::now(),
+                start_ns: now_since_epoch_ns(),
+                depth,
+                fields: Vec::new(),
+            }),
+            name,
+        },
+        None => Span { active: None, name },
+    }
 }
 
 struct ActiveSpan {
-    recorder: Option<Arc<dyn Recorder>>,
-    flight: u64,
+    capture: Capture,
     start: Instant,
     start_ns: u64,
     depth: u32,
@@ -173,34 +140,16 @@ struct ActiveSpan {
 }
 
 /// An open span; closing (dropping) it delivers a [`SpanRecord`] to the
-/// recorder that was installed at open time.
+/// capture that was current at open time. Its bookkeeping is never
+/// charged to an allocation scope: `mem` columns measure the query, not
+/// the observer.
 pub struct Span {
     active: Option<ActiveSpan>,
     name: &'static str,
 }
 
 impl Span {
-    fn open(name: &'static str, recorder: Option<Arc<dyn Recorder>>, flight: u64) -> Span {
-        let start_ns = epoch().elapsed().as_nanos() as u64;
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
-        });
-        Span {
-            active: Some(ActiveSpan {
-                recorder,
-                flight,
-                start: Instant::now(),
-                start_ns,
-                depth,
-                fields: Vec::new(),
-            }),
-            name,
-        }
-    }
-
-    /// Whether this span will be delivered to a recorder on close.
+    /// Whether this span will be delivered to a capture on close.
     pub fn is_recording(&self) -> bool {
         self.active.is_some()
     }
@@ -208,6 +157,7 @@ impl Span {
     /// Attaches a counter field (no-op on inert spans).
     pub fn record_u64(&mut self, key: &'static str, value: u64) {
         if let Some(a) = &mut self.active {
+            let _unattributed = crate::alloc::install(None);
             a.fields.push(Field {
                 key,
                 value: FieldValue::U64(value),
@@ -218,6 +168,7 @@ impl Span {
     /// Attaches a boolean field (no-op on inert spans).
     pub fn record_bool(&mut self, key: &'static str, value: bool) {
         if let Some(a) = &mut self.active {
+            let _unattributed = crate::alloc::install(None);
             a.fields.push(Field {
                 key,
                 value: FieldValue::Bool(value),
@@ -228,6 +179,7 @@ impl Span {
     /// Attaches a string field (no-op on inert spans).
     pub fn record_str(&mut self, key: &'static str, value: impl Into<String>) {
         if let Some(a) = &mut self.active {
+            let _unattributed = crate::alloc::install(None);
             a.fields.push(Field {
                 key,
                 value: FieldValue::Str(value.into()),
@@ -239,21 +191,16 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(a) = self.active.take() {
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            let record = SpanRecord {
+            crate::ctx::close_span();
+            let _unattributed = crate::alloc::install(None);
+            a.capture.push(SpanRecord {
                 name: self.name,
                 start_ns: a.start_ns,
                 duration_ns: a.start.elapsed().as_nanos() as u64,
                 depth: a.depth,
                 thread: thread_id(),
                 fields: a.fields,
-            };
-            if let Some(recorder) = &a.recorder {
-                recorder.record_span(&record);
-            }
-            if a.flight != 0 {
-                crate::flight::deliver(a.flight, record);
-            }
+            });
         }
     }
 }

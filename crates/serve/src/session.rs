@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treequery_core::{CancelReason, CostClass, EngineError, NodeId, Query, QueryOutput};
-use treequery_obs::{flight, span, Json};
+use treequery_obs::{flight, span, Json, QueryCtx};
 use treequery_tree::{parse_script, parse_term, xmark_document, CancelToken, Tree, XmarkConfig};
 
 use crate::admission::AdmissionVerdict;
@@ -587,15 +587,16 @@ fn verb_query(
         .into();
     };
 
-    // When the flight recorder is installed, open the query scope here —
+    // When the flight recorder is installed, open the query here —
     // before the document lock and admission — so the serve-side spans
     // land on the same record as the engine's evaluation spans, and the
     // record carries this request's tenant and trace id.
-    let flight_id = if flight::enabled() {
-        flight::begin_query()
+    let flight_ctx = if flight::enabled() {
+        flight::begin_query(&QueryCtx::current())
     } else {
-        0
+        None
     };
+    let flight_id = flight_ctx.as_ref().map_or(0, |ctx| ctx.query);
     let run = || -> Reply {
         let doc = {
             let _lock = span("serve.lock");
@@ -640,15 +641,17 @@ fn verb_query(
             .into();
         };
 
-        let ctx = flight::RequestCtx {
+        let request = flight::RequestCtx {
             tenant: sess.tenant.clone(),
             trace_id: trace_id.to_owned(),
             admission_wait_ns,
         };
         let started = Instant::now();
-        let result = flight::with_request_ctx(ctx, || {
-            engine.eval_planned_with_cancel(&ir, &chosen, &token)
-        });
+        let result = QueryCtx {
+            request: Some(Arc::new(request)),
+            ..QueryCtx::current()
+        }
+        .enter(|| engine.eval_planned_with_cancel(&ir, &chosen, &token));
         let wall_ns = started.elapsed().as_nanos() as u64;
         match result {
             Ok(answer) => {
@@ -684,15 +687,11 @@ fn verb_query(
             Err(e) => engine_error_json(&e, id).into(),
         }
     };
-    if flight_id != 0 {
-        let body = flight::with_current_query(flight_id, run);
-        // Pre-evaluation exits (parse error, admission rejection) never
-        // reach the engine's span collection; drop anything pending so
-        // the capped span map can't fill with orphans.
-        let _ = flight::take_spans(flight_id);
-        body
-    } else {
-        run()
+    // Spans of pre-evaluation exits (parse error, admission rejection)
+    // stay in the query's capture and go with it.
+    match &flight_ctx {
+        Some(ctx) => ctx.enter(run),
+        None => run(),
     }
 }
 

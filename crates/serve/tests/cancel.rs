@@ -9,9 +9,19 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use treequery_core::{plan, CancelReason, Document, Engine, EngineConfig, EngineError, Query};
-use treequery_obs::Json;
-use treequery_tree::{cancel, parse_term, CancelToken, Tree, TreeBuilder};
+use treequery_obs::{Json, QueryCtx};
+use treequery_tree::{parse_term, CancelToken, Tree, TreeBuilder};
 use util::{code, expect_ok, spawn, TestConn};
+
+/// Runs `f` with `token` in the caller's query context (the ambient
+/// token the kernels poll).
+fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
+    QueryCtx {
+        cancel: Some(token.clone()),
+        ..QueryCtx::current()
+    }
+    .enter(f)
+}
 
 /// The heavy query of the battery: label-restricted `following`
 /// enumeration — output-sensitive, so on an XMark document its answer is
@@ -263,7 +273,7 @@ fn cancelled_queries_free_pool_workers() {
         for _ in 0..10 {
             let token = CancelToken::new();
             token.cancel();
-            let r = cancel::with_token(&token, || engine.eval(&q));
+            let r = with_token(&token, || engine.eval(&q));
             assert!(matches!(r, Err(EngineError::Cancelled(_))), "{r:?}");
         }
         // If a cancelled chunk wedged a worker, this would hang or err.
@@ -292,7 +302,7 @@ fn every_applicable_strategy_observes_the_ambient_token() {
         for strategy in plan::applicable_strategies(&ir) {
             let token = CancelToken::new();
             token.cancel();
-            let r = cancel::with_token(&token, || engine.eval_ir_via(&ir, strategy, 1));
+            let r = with_token(&token, || engine.eval_ir_via(&ir, strategy, 1));
             assert!(
                 matches!(r, Err(EngineError::Cancelled(CancelReason::Cancelled))),
                 "strategy {strategy:?} ignored the token: {r:?}"

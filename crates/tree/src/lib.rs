@@ -25,7 +25,6 @@
 
 mod axis;
 mod builder;
-pub mod cancel;
 pub mod edit;
 mod enumerate;
 mod generate;
@@ -61,4 +60,7 @@ pub use par::{
 };
 pub use term::{parse_term, to_term, TermError};
 pub use tree::{Ancestors, Children, HotNode, NodeId, Tree};
+/// Cooperative cancellation lives with the per-query context in
+/// `treequery-obs`; re-exported so kernels poll `treequery_tree::cancel`.
+pub use treequery_obs::cancel;
 pub use xml::{parse_xml, to_xml, XmlError};

@@ -2,13 +2,14 @@
 //! known allocation pattern, scope propagation across the worker pool,
 //! and the `mem` columns `EXPLAIN ANALYZE` joins onto the stage tree.
 //!
-//! The accounting switch and the scope-totals table are process-global,
-//! so these tests serialize on one mutex (mirroring the unit tests inside
-//! `treequery-obs`).
+//! The accounting switch is process-global and one test needs it off, so
+//! these tests serialize on one mutex (mirroring the unit tests inside
+//! `treequery-obs`). Scope totals are per capture and need no lock.
 
 use std::sync::Mutex;
 
-use treequery::obs::alloc::{current_scope, with_scope, AccountingGuard, AllocScope, ScopeStats};
+use treequery::obs::alloc::{current_scope, AccountingGuard, AllocScope, ScopeStats};
+use treequery::obs::QueryCtx;
 use treequery::plan::WorkerPool;
 use treequery::{parse_term, Engine, Query};
 
@@ -77,17 +78,21 @@ fn scope_attribution_survives_a_pool_round_trip() {
     );
 }
 
-/// The handle API the pool uses, exercised directly across a plain
-/// spawned thread.
+/// The context API the pool uses, exercised directly across a plain
+/// spawned thread: the scope handle rides in the [`QueryCtx`].
 #[test]
 fn current_scope_handle_carries_attribution() {
     let _l = lock();
     let _on = AccountingGuard::begin();
     let scope = AllocScope::enter("test.handle");
     let handle = current_scope().expect("a scope is current");
+    let ctx = QueryCtx {
+        alloc: Some(handle),
+        ..QueryCtx::default()
+    };
     std::thread::scope(|s| {
         s.spawn(move || {
-            with_scope(&handle, || {
+            ctx.enter(|| {
                 let _v: Vec<u8> = Vec::with_capacity(32 * 1024);
             });
         });
@@ -127,17 +132,15 @@ fn explain_analyze_reports_per_stage_memory() {
         > Some(0)));
 }
 
-/// Accounting is off outside guards: a plain `Engine::eval` run leaves no
-/// scope totals behind and attaches no mem columns.
+/// Accounting is off outside guards: a plain `Engine::eval` run, even
+/// under a capture, leaves no scope totals behind.
 #[test]
 fn unaccounted_runs_attach_no_mem() {
     let _l = lock();
-    treequery::obs::alloc::take_scope_totals();
     let t = parse_term("r(a(b) a)").unwrap();
     let e = Engine::new(&t);
-    e.xpath("//a").unwrap();
-    assert!(
-        treequery::obs::alloc::take_scope_totals().is_empty(),
-        "no guard, no attribution"
-    );
+    let (nodes, captured) = treequery::obs::capture(|| e.xpath("//a").unwrap());
+    assert_eq!(nodes.len(), 2);
+    assert!(!captured.spans.is_empty(), "the run was captured");
+    assert!(captured.alloc.is_empty(), "no guard, no attribution");
 }

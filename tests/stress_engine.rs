@@ -181,3 +181,56 @@ fn parallel_explain_analyze_is_deterministic() {
     };
     assert_eq!(plan_lines(&first.render()), plan_lines(&second.render()));
 }
+
+/// Two analyses running at once on two engines see only their own
+/// query: every report's stage tree, span fields, `mem` columns and
+/// counters equal the solo run's; only wall times may differ.
+#[test]
+fn concurrent_explain_analyze_matches_solo_runs() {
+    const ITERATIONS: usize = 50;
+    // Wall times are the only field allowed to differ.
+    let timeless = |mut a: treequery::AnalyzedPlan| {
+        a.total_ns = 0;
+        for stage in &mut a.stages {
+            stage.total_ns = 0;
+        }
+        a
+    };
+    let left = stress_tree();
+    let right = treequery::parse_term(&format!("r({})", "a(b a(b c)) c(a) ".repeat(80))).unwrap();
+    let barrier = std::sync::Barrier::new(2);
+    let analyze = |tree: &Tree, query: Query| {
+        let config = EngineConfig {
+            planner: PlannerConfig {
+                workers: Some(1),
+                ..PlannerConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(tree, config);
+        // Warm the plan cache and this thread's scratch pools, then take
+        // the solo reference.
+        for _ in 0..3 {
+            engine.explain_analyze(&query).unwrap();
+        }
+        let solo = timeless(engine.explain_analyze(&query).unwrap());
+        assert!(
+            solo.stages.iter().any(|s| s.mem.is_some()),
+            "accounted runs carry mem columns"
+        );
+        barrier.wait();
+        for i in 0..ITERATIONS {
+            let concurrent = timeless(engine.explain_analyze(&query).unwrap());
+            assert_eq!(concurrent, solo, "iteration {i} of {}", query.text());
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| analyze(&left, Query::xpath("//a[b]//c")));
+        s.spawn(|| {
+            analyze(
+                &right,
+                Query::cq("q(x, z) :- label(x, a), child(x, y), label(y, b), descendant(x, z)."),
+            )
+        });
+    });
+}
