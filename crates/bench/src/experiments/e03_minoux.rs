@@ -45,10 +45,10 @@ pub fn run() {
         "  head  = {:?}",
         st.heads.iter().map(|v| v.0).collect::<Vec<_>>()
     );
-    for (p, rules) in st.rules.iter().enumerate().skip(1) {
+    for p in 1..st.num_vars() {
         println!(
             "  rules[{p}] = {:?}",
-            rules
+            st.rules_of(Var(p as u32))
                 .iter()
                 .map(|r| format!("r{}", r.0 + 1))
                 .collect::<Vec<_>>()

@@ -14,10 +14,9 @@
 //!   parallelized (the bitset intersections are word-ops and stay
 //!   sequential);
 //! * [`par_datalog_eval_query`] — Theorem 3.2 grounding chunked by
-//!   `(rule, node range)` in rule-major, range-ascending task order,
-//!   reassembled into a Horn formula byte-identical to the sequential
-//!   `ground()` (same rule order, same atom interning order) before one
-//!   Minoux solve;
+//!   pre-order range, each chunk writing flat dense-variable columns,
+//!   concatenated rule by rule into a Horn formula byte-identical to the
+//!   sequential `ground()` before one Minoux solve;
 //! * [`par_eval_via_rewrite`] — the Theorem 5.1 rewrite-to-acyclic
 //!   union with each part's full-reducer semijoin program run as its own
 //!   task (independent join-tree branches), results merged into the same
@@ -37,11 +36,10 @@ use std::collections::BTreeSet;
 
 use treequery_cq::rewrite::RewriteError;
 use treequery_cq::Cq;
-use treequery_datalog::{ground_rule_chunk, GroundAtom, Program};
+use treequery_datalog::{Grounder, Program, RangeGrounding};
 use treequery_storage::{stack_tree_join_into, stack_tree_join_resumed_into, JoinSeedSet};
 use treequery_tree::{
-    incoming_carries_in_place, pre_range_at, pre_range_count, pre_ranges, scratch, Axis, NodeId,
-    NodeSet, Tree,
+    incoming_carries_in_place, pre_range_at, pre_range_count, scratch, Axis, NodeId, NodeSet, Tree,
 };
 use treequery_xpath::{Path, Qual};
 
@@ -51,10 +49,6 @@ use crate::plan::pool::WorkerPool;
 
 /// Boxes a closure for [`WorkerPool::run_scoped`].
 type ScopedTask<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// One grounding chunk: the ground rules (head, body) a rule produced
-/// over one pre-order range.
-type GroundChunk = Vec<(GroundAtom, Vec<GroundAtom>)>;
 
 fn note_kernel(metrics: &Metrics, chunks: usize) {
     use std::sync::atomic::Ordering;
@@ -361,12 +355,13 @@ pub fn par_eval_query(p: &Path, t: &Tree, workers: usize, metrics: &Metrics) -> 
     }
 }
 
-/// Parallel Theorem 3.2 pipeline: grounds `prog` in `(rule, node-range)`
-/// chunks on the pool, reassembles a Horn formula **byte-identical** to
-/// the sequential `ground()` (tasks are submitted rule-major with
-/// ascending ranges and results consumed in submission order, and atom
-/// interning is bodies-before-head per ground rule, exactly like the
-/// sequential grounder), then runs one Minoux solve and extracts the
+/// Parallel Theorem 3.2 pipeline: compiles `prog` once, grounds every
+/// rule over each pre-order range as one chunk on the pool's
+/// allocation-free parallel for (each chunk writes its own flat
+/// head/body/start columns), concatenates the chunks rule by rule into a
+/// Horn formula **byte-identical** to the sequential `ground()` (ranges
+/// ascend, and the dense atom numbering does not depend on which chunk
+/// meets an atom first), then runs one Minoux solve and slices out the
 /// query predicate — the same [`NodeSet`] `datalog::eval_query` returns.
 /// Below the grounding kernel's break-even worker count it runs
 /// `datalog::eval_query` itself.
@@ -377,36 +372,33 @@ pub fn par_datalog_eval_query(
     metrics: &Metrics,
 ) -> NodeSet {
     let workers = fan_out(Kernel::Grounding, workers, None).workers();
-    if workers <= 1 {
+    let n = t.len();
+    let chunks = pre_range_count(n, workers);
+    if chunks <= 1 {
         return treequery_datalog::eval_query(prog, t);
     }
     let q = prog.query.expect("program has no query predicate");
-    let n = t.len();
-    let ranges = pre_ranges(n, workers);
-    let mut tasks: Vec<ScopedTask<'_, GroundChunk>> = Vec::new();
-    for rule in &prog.rules {
-        for r in &ranges {
-            let r = r.clone();
-            tasks.push(Box::new(move || {
-                let mut span = treequery_obs::span("exec.ground_chunk");
-                span.record_u64("nodes", u64::from(r.end - r.start));
-                ground_rule_chunk(rule, t, r)
-            }));
-        }
+    let grounder = Grounder::new(prog, t);
+    let mut parts: Vec<RangeGrounding> = Vec::with_capacity(chunks);
+    parts.resize_with(chunks, RangeGrounding::default);
+    note_kernel(metrics, chunks);
+    {
+        let slots = SyncSlice::new(&mut parts);
+        let grounder = &grounder;
+        WorkerPool::global().run_for(workers, chunks, &|i| {
+            let r = pre_range_at(n, chunks, i);
+            let mut span = treequery_obs::span("exec.ground_chunk");
+            span.record_u64("nodes", u64::from(r.end - r.start));
+            // SAFETY: chunk i writes slot i only.
+            *unsafe { slots.get(i) } = grounder.ground_range(r);
+        });
     }
-    if tasks.len() > 1 {
-        note_kernel(metrics, tasks.len());
-    }
-    let chunks = WorkerPool::global().run_scoped(workers, tasks);
-    let (formula, atoms) = treequery_hornsat::assemble_ground_chunks(chunks);
+    let formula = grounder.assemble(&parts);
+    // The chunk columns are copied out; free them before the solve
+    // allocates its own.
+    drop(parts);
     let solution = formula.solve();
-    let mut out = NodeSet::empty(n);
-    for (var, &(pred, node)) in atoms.iter() {
-        if pred == q && solution.is_true(var) {
-            out.insert(node);
-        }
-    }
-    out
+    grounder.atoms().extension(solution.truth(), q)
 }
 
 /// Parallel Theorem 5.1 evaluation: rewrites `q` to a union of acyclic

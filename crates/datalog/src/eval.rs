@@ -7,7 +7,8 @@ use std::collections::VecDeque;
 use treequery_tree::{EditDelta, EditKind, EditOp, NodeId, NodeSet, Tree};
 
 use crate::ast::{BodyAtom, PredId, Program, UnaryRef, VarId};
-use crate::ground::{for_each_match, for_each_match_pinned, ground, GroundAtom};
+use crate::ground::{ground, AtomNumbering, GroundAtom};
+use crate::matcher::{for_each_match, for_each_match_pinned};
 
 /// Evaluates a program: returns the extension of every intensional
 /// predicate, indexed by `PredId`.
@@ -16,6 +17,25 @@ use crate::ground::{for_each_match, for_each_match_pinned, ground, GroundAtom};
 /// ([`ground`]) and compute the minimal model with Minoux's linear-time
 /// algorithm. For TMNF programs this runs in `O(|P| · |Dom|)` total.
 pub fn eval(prog: &Program, tree: &Tree) -> Vec<NodeSet> {
+    let (solution, atoms) = solve(prog, tree);
+    (0..prog.num_preds() as u32)
+        .map(|p| atoms.extension(solution.truth(), PredId(p)))
+        .collect()
+}
+
+/// Evaluates the program's distinguished query predicate.
+///
+/// # Panics
+/// Panics if the program has no query predicate.
+pub fn eval_query(prog: &Program, tree: &Tree) -> NodeSet {
+    let q = prog.query.expect("program has no query predicate");
+    let (solution, atoms) = solve(prog, tree);
+    atoms.extension(solution.truth(), q)
+}
+
+/// Grounds `prog` over `tree` (under a `datalog.ground` span) and solves
+/// the formula.
+fn solve(prog: &Program, tree: &Tree) -> (treequery_hornsat::Solution, AtomNumbering) {
     let (formula, atoms) = {
         let mut span = treequery_obs::span("datalog.ground");
         let _mem = treequery_obs::alloc::AllocScope::enter("datalog.ground");
@@ -25,23 +45,7 @@ pub fn eval(prog: &Program, tree: &Tree) -> Vec<NodeSet> {
         span.record_u64("ground_size", grounded.0.size() as u64);
         grounded
     };
-    let solution = formula.solve();
-    let mut extensions = vec![NodeSet::empty(tree.len()); prog.num_preds()];
-    for (var, &(pred, node)) in atoms.iter() {
-        if solution.is_true(var) {
-            extensions[pred.index()].insert(node);
-        }
-    }
-    extensions
-}
-
-/// Evaluates the program's distinguished query predicate.
-///
-/// # Panics
-/// Panics if the program has no query predicate.
-pub fn eval_query(prog: &Program, tree: &Tree) -> NodeSet {
-    let q = prog.query.expect("program has no query predicate");
-    eval(prog, tree).swap_remove(q.index())
+    (formula.solve(), atoms)
 }
 
 /// Naive fixpoint evaluation: repeats immediate-consequence passes until
@@ -429,6 +433,53 @@ mod tests {
         for text in progs {
             let prog = parse_program(text).unwrap();
             for term in ["a", "a(b)", "a(b(c d) e(f(g) h))", "L(a(L(b)))"] {
+                let tree = parse_term(term).unwrap();
+                assert_eq!(
+                    eval(&prog, &tree),
+                    eval_naive(&prog, &tree),
+                    "program {text} on {term}"
+                );
+            }
+        }
+    }
+
+    /// `eval` (the compiled grounder) against `eval_naive` (the simple
+    /// matcher) on every shape the grounder special-cases.
+    #[test]
+    fn eval_matches_naive_on_grounder_special_cases() {
+        let cases = [
+            // A label absent from the tree, and its complement.
+            "P(x) :- label(x, zz). ?- P.",
+            "P(x) :- notlabel(x, zz), leaf(x). ?- P.",
+            "P(x) :- notlabel(x, a), firstchild(x, y). ?- P.",
+            // dom, firstsibling and lastsibling.
+            "P(x) :- dom(x), firstsibling(x). Q(x) :- lastsibling(x), P(x). ?- Q.",
+            "P(x) :- dom(x). ?- P.",
+            // A body with no extensional atom (safe rules always bind a
+            // variable, so this is the nearest to a variable-free rule),
+            // and a disconnected body.
+            "Q(x) :- dom(x). P(x) :- Q(x). ?- P.",
+            "P(x) :- root(x), Q(y). Q(x) :- label(x, b). ?- P.",
+            "P(x) :- label(x, c), Q(y), R(z). Q(x) :- leaf(x). R(x) :- label(x, b). ?- P.",
+            // A repeated intensional atom.
+            "Q(x) :- label(x, a). P(x) :- Q(x), Q(x), leaf(x). ?- P.",
+            "Q(x) :- leaf(x). P(x) :- firstchild(x, y), Q(y), Q(y). ?- P.",
+            // A label filter on a non-first variable.
+            "P(x) :- firstchild(x, y), label(y, b). ?- P.",
+            "P(x) :- nextsibling(y, x), label(y, a), notlabel(x, c). ?- P.",
+            "P(x) :- child(x, y), label(y, c), nextsibling(y, z), leaf(z). ?- P.",
+            // Forward child, and two label filters on one variable.
+            "Q(y) :- leaf(y). P(x) :- child(x, y), Q(y). ?- P.",
+            "P(x) :- label(x, a), label(x, b). ?- P.",
+        ];
+        for text in cases {
+            let prog = parse_program(text).unwrap();
+            for term in [
+                "a",
+                "a(b c)",
+                "a(b(c a) c(b) a(a b c))",
+                "c(a(b) b(a(c)) c)",
+            ] {
                 let tree = parse_term(term).unwrap();
                 assert_eq!(
                     eval(&prog, &tree),

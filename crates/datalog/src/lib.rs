@@ -16,21 +16,23 @@
 //! * Tree-Marking Normal Form (Definition 3.4): recognition
 //!   ([`Program::is_tmnf`]) and the linear-time translation
 //!   ([`to_tmnf`]) that also eliminates the derived `Child` relation,
-//! * grounding over a tree ([`ground`]) and evaluation through Horn-SAT
+//! * grounding over a tree into densely numbered atoms ([`ground`],
+//!   [`Grounder`], [`AtomNumbering`]) and evaluation through Horn-SAT
 //!   ([`eval`], [`eval_query`]),
-//! * a naive fixpoint evaluator ([`eval_naive`]) used as a
-//!   differential-testing oracle.
+//! * a naive fixpoint evaluator ([`eval_naive`]) on an independent,
+//!   simple rule matcher, used as a differential-testing oracle.
 
 mod ast;
 mod eval;
 mod features;
 mod ground;
+mod matcher;
 mod parser;
 mod tmnf;
 
 pub use ast::{BasePred, BinRel, BodyAtom, PredId, Program, Rule, UnaryRef, VarId};
 pub use eval::{eval, eval_naive, eval_query, IncrementalEval, PendingEdit};
 pub use features::{features, ProgramFeatures};
-pub use ground::{ground, ground_rule_chunk, GroundAtom};
+pub use ground::{ground, AtomNumbering, GroundAtom, Grounder, RangeGrounding};
 pub use parser::{parse_program, ParseError};
 pub use tmnf::{to_tmnf, TmnfError};

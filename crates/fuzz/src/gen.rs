@@ -234,14 +234,23 @@ pub fn gen_datalog(rng: &mut StdRng, cfg: &GenConfig) -> Program {
         let nrules = rng.gen_range(1..=2usize);
         for _ in 0..nrules {
             let j = rng.gen_range(0..npreds);
-            let body = match rng.gen_range(0u32..8) {
+            let k = rng.gen_range(0..npreds);
+            let body = match rng.gen_range(0u32..14) {
                 0 | 1 => format!("label(X, {})", cfg.label(rng)),
                 2 => "leaf(X)".to_owned(),
                 3 => "root(X)".to_owned(),
                 4 => format!("firstchild(X, Y), P{j}(Y)"),
                 5 => format!("nextsibling(X, Y), P{j}(Y)"),
                 6 => format!("child(X, Y), P{j}(Y)"),
-                _ => format!("P{j}(X), label(X, {})", cfg.label(rng)),
+                7 => format!("P{j}(X), label(X, {})", cfg.label(rng)),
+                8 => "dom(X)".to_owned(),
+                9 => format!("firstsibling(X), P{j}(X)"),
+                10 => format!("lastsibling(X), notlabel(X, {})", cfg.label(rng)),
+                11 => format!("P{j}(X), notlabel(X, {})", cfg.label(rng)),
+                // Two intensional atoms: one at the head node, one at a
+                // structural neighbor.
+                12 => format!("P{j}(X), nextsibling(X, Y), P{k}(Y)"),
+                _ => format!("firstchild(X, Y), P{j}(Y), P{k}(X)"),
             };
             text.push_str(&format!("P{i}(X) :- {body}.\n"));
         }

@@ -1,9 +1,10 @@
 //! Dense interning of ground atoms into propositional variables.
 //!
-//! The reductions in the paper (grounding monadic datalog, the Horn-SAT
-//! encoding of arc-consistency in Proposition 6.2) all map structured
-//! ground atoms like `P₀(3)` or `Θ(x, v)` to propositional variables. An
+//! The Horn-SAT encoding of arc-consistency in Proposition 6.2 maps
+//! structured ground atoms like `Θ(x, v)` to propositional variables. An
 //! [`AtomTable`] provides this mapping with O(1) amortized interning.
+//! (Grounding monadic datalog needs no table: its atoms `P(v)` are
+//! numbered `P·|Dom| + v` directly.)
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -73,57 +74,9 @@ impl<A: Clone + Eq + Hash> AtomTable<A> {
     }
 }
 
-/// Assembles ground-rule chunks — each a list of `(head, body)` atom
-/// pairs — into a Horn formula plus the interning [`AtomTable`],
-/// consuming chunks (and rules within a chunk) in iteration order.
-///
-/// Interning order is body atoms before the head within each rule,
-/// which is exactly the order `treequery-datalog`'s sequential
-/// grounding interns in — so feeding this the per-(rule, node-range)
-/// chunks of a partitioned grounding, in rule-major / range-ascending
-/// order, produces a formula and table **byte-identical** to the
-/// sequential ones, no matter which worker produced which chunk.
-pub fn assemble_ground_chunks<A: Clone + Eq + Hash>(
-    chunks: impl IntoIterator<Item = Vec<(A, Vec<A>)>>,
-) -> (crate::minoux::HornFormula, AtomTable<A>) {
-    let mut formula = crate::minoux::HornFormula::new();
-    let mut atoms: AtomTable<A> = AtomTable::new();
-    let mut body_buf = Vec::new();
-    for chunk in chunks {
-        for (head, body) in chunk {
-            body_buf.clear();
-            for a in body {
-                body_buf.push(atoms.var(a));
-            }
-            let head = atoms.var(head);
-            formula.ensure_vars(atoms.len() as u32);
-            formula.add_rule(head, &body_buf);
-        }
-    }
-    formula.ensure_vars(atoms.len() as u32);
-    (formula, atoms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn assemble_interns_bodies_before_heads() {
-        let chunks = vec![
-            vec![(("p", 1u32), vec![("q", 1u32), ("r", 1u32)])],
-            vec![(("p", 2u32), Vec::new())],
-        ];
-        let (formula, atoms) = assemble_ground_chunks(chunks);
-        assert_eq!(formula.num_rules(), 2);
-        assert_eq!(formula.num_vars(), 4);
-        let order: Vec<_> = atoms.iter().map(|(_, a)| *a).collect();
-        assert_eq!(
-            order,
-            vec![("q", 1), ("r", 1), ("p", 1), ("p", 2)],
-            "bodies intern before heads, chunks in order"
-        );
-    }
 
     #[test]
     fn intern_and_lookup() {

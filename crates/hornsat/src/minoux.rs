@@ -53,12 +53,14 @@ impl HornFormula {
     /// Creates an empty formula pre-sized for `vars` variables and `rules`
     /// rules with a total body size of `body`.
     pub fn with_capacity(vars: u32, rules: usize, body: usize) -> Self {
-        let mut f = Self::new();
-        f.num_vars = vars;
-        f.heads.reserve(rules);
-        f.body_starts.reserve(rules + 1);
-        f.body_pool.reserve(body);
-        f
+        let mut body_starts = Vec::with_capacity(rules + 1);
+        body_starts.push(0);
+        Self {
+            num_vars: vars,
+            heads: Vec::with_capacity(rules),
+            body_pool: Vec::with_capacity(body),
+            body_starts,
+        }
     }
 
     /// Allocates a fresh variable.
@@ -69,7 +71,8 @@ impl HornFormula {
     }
 
     /// Ensures variables `0..n` exist (useful when variables are external
-    /// dense ids, e.g. produced by an [`crate::AtomTable`]).
+    /// dense ids, e.g. produced by an [`crate::AtomTable`] or a grounder's
+    /// fixed numbering).
     pub fn ensure_vars(&mut self, n: u32) {
         self.num_vars = self.num_vars.max(n);
     }
@@ -92,14 +95,39 @@ impl HornFormula {
 
     /// Adds the rule `head ← body`. An empty body makes `head` a fact.
     pub fn add_rule(&mut self, head: Var, body: &[Var]) -> RuleId {
+        self.add_rule_iter(head, body.iter().copied())
+    }
+
+    /// Adds the rule `head ← body`, taking the body literals from an
+    /// iterator (a grounder emits them straight into the body pool, with
+    /// no staging buffer).
+    pub fn add_rule_iter(&mut self, head: Var, body: impl IntoIterator<Item = Var>) -> RuleId {
         debug_assert!(head.0 < self.num_vars, "head variable not allocated");
-        debug_assert!(body.iter().all(|v| v.0 < self.num_vars));
         let id = RuleId(u32::try_from(self.heads.len()).expect("too many rules"));
         self.heads.push(head);
-        self.body_pool.extend_from_slice(body);
+        self.body_pool.extend(body);
         self.body_starts
             .push(u32::try_from(self.body_pool.len()).expect("body pool overflow"));
+        debug_assert!(self.body(id).iter().all(|v| v.0 < self.num_vars));
         id
+    }
+
+    /// Appends the rules `rules` of `other`, which must number its
+    /// variables the same way, in order: a concatenation of the head,
+    /// body and start columns (the starts rebased onto this pool).
+    pub fn append_rules(&mut self, other: &HornFormula, rules: std::ops::Range<usize>) {
+        self.ensure_vars(other.num_vars);
+        self.heads.extend_from_slice(&other.heads[rules.clone()]);
+        let lo = other.body_starts[rules.start];
+        let hi = other.body_starts[rules.end];
+        self.body_pool
+            .extend_from_slice(&other.body_pool[lo as usize..hi as usize]);
+        let base = u32::try_from(self.body_pool.len()).expect("body pool overflow") - (hi - lo);
+        self.body_starts.extend(
+            other.body_starts[rules.start + 1..=rules.end]
+                .iter()
+                .map(|&s| base + (s - lo)),
+        );
     }
 
     /// Adds the fact `head ←`.
@@ -122,33 +150,59 @@ impl HornFormula {
     /// The initialization phase of Figure 3: builds the `size`, `head` and
     /// `rules` data structures and the initial queue. Exposed separately so
     /// that the worked Example 3.3 can be reproduced verbatim (experiment
-    /// E3).
-    pub fn initial_state(&self) -> InitialState {
-        let l = self.heads.len();
-        let mut size = vec![0u32; l];
-        let mut rules = vec![Vec::new(); self.num_vars as usize];
+    /// E3); [`HornFormula::solve`] runs its main loop over exactly this
+    /// state.
+    ///
+    /// The occurrence lists `rules[p]` are one counting-sort CSR column
+    /// (read them with [`InitialState::rules_of`]): two passes over the
+    /// body pool, three allocations, whatever the number of variables.
+    pub fn initial_state(&self) -> InitialState<'_> {
+        let nv = self.num_vars as usize;
+        // offsets[p] counts p's occurrences, then (prefix sums) holds the
+        // end of p's segment; filling rules back to front decrements it
+        // to the segment's start, leaving each list in ascending rule
+        // order.
+        let mut offsets = vec![0u32; nv + 1];
+        for &b in &self.body_pool {
+            offsets[b.index()] += 1;
+        }
+        let mut end = 0u32;
+        for slot in offsets.iter_mut() {
+            end += *slot;
+            *slot = end;
+        }
+        let mut occurrences = vec![RuleId(0); self.body_pool.len()];
+        let mut size = vec![0u32; self.heads.len()];
         let mut queue = Vec::new();
-        for (i, slot) in size.iter_mut().enumerate() {
+        for (i, slot) in size.iter_mut().enumerate().rev() {
             let r = RuleId(i as u32);
             let body = self.body(r);
             *slot = body.len() as u32;
-            for &b in body {
-                rules[b.index()].push(r);
+            for &b in body.iter().rev() {
+                offsets[b.index()] -= 1;
+                occurrences[offsets[b.index()] as usize] = r;
             }
-            if body.is_empty() {
-                queue.push(self.heads[i]);
+        }
+        for (i, &h) in self.heads.iter().enumerate() {
+            if self.body_starts[i] == self.body_starts[i + 1] {
+                queue.push(h);
             }
         }
         InitialState {
             size,
-            heads: self.heads.clone(),
-            rules,
+            heads: &self.heads,
+            offsets,
+            occurrences,
             queue,
         }
     }
 
     /// Minoux's algorithm (the main loop of Figure 3): computes the minimal
     /// model in time linear in [`HornFormula::size`].
+    ///
+    /// The derivation order doubles as the FIFO queue: every variable is
+    /// appended once, when it becomes true, and the loop reads it back
+    /// from a cursor.
     ///
     /// Emits a `hornsat.solve` span carrying the formula size (the
     /// quantity the Theorem 3.2 linear bound charges) and the number of
@@ -163,30 +217,32 @@ impl HornFormula {
         let InitialState {
             mut size,
             heads,
-            rules,
+            offsets,
+            occurrences,
             queue: initial,
         } = self.initial_state();
 
         let mut truth = vec![false; self.num_vars as usize];
-        let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::with_capacity(initial.len());
+        let mut order = Vec::with_capacity(initial.len());
         for p in initial {
             // The figure appends every fact head; we deduplicate so each
             // variable is output (and its rule list scanned) exactly once.
             if !truth[p.index()] {
                 truth[p.index()] = true;
-                queue.push_back(p);
+                order.push(p);
             }
         }
-        while let Some(p) = queue.pop_front() {
-            order.push(p);
-            for &r in &rules[p.index()] {
+        let mut next = 0;
+        while let Some(&p) = order.get(next) {
+            next += 1;
+            let (lo, hi) = (offsets[p.index()], offsets[p.index() + 1]);
+            for &r in &occurrences[lo as usize..hi as usize] {
                 size[r.index()] -= 1;
                 if size[r.index()] == 0 {
                     let h = heads[r.index()];
                     if !truth[h.index()] {
                         truth[h.index()] = true;
-                        queue.push_back(h);
+                        order.push(h);
                     }
                 }
             }
@@ -218,15 +274,33 @@ impl HornFormula {
 
 /// The data structures after the initialization phase of Figure 3.
 #[derive(Clone, Debug)]
-pub struct InitialState {
+pub struct InitialState<'f> {
     /// `size[i]`: number of body literals of rule `i` not yet resolved.
     pub size: Vec<u32>,
     /// `head[i]`: head variable of rule `i`.
-    pub heads: Vec<Var>,
-    /// `rules[p]`: rules in whose body `p` occurs (with multiplicity).
-    pub rules: Vec<Vec<RuleId>>,
+    pub heads: &'f [Var],
+    /// CSR offsets of the occurrence lists: `rules[p]` is
+    /// `occurrences[offsets[p] .. offsets[p + 1]]`.
+    pub offsets: Vec<u32>,
+    /// All occurrence lists, concatenated by variable.
+    pub occurrences: Vec<RuleId>,
     /// Initial queue: heads of facts, in rule order.
     pub queue: Vec<Var>,
+}
+
+impl InitialState<'_> {
+    /// `rules[p]`: the rules in whose body `p` occurs (with
+    /// multiplicity), in ascending rule order.
+    pub fn rules_of(&self, p: Var) -> &[RuleId] {
+        let lo = self.offsets[p.index()] as usize;
+        let hi = self.offsets[p.index() + 1] as usize;
+        &self.occurrences[lo..hi]
+    }
+
+    /// Number of variables (occurrence lists).
+    pub fn num_vars(&self) -> usize {
+        self.offsets.len() - 1
+    }
 }
 
 /// The minimal model of a definite Horn formula.
@@ -289,13 +363,60 @@ mod tests {
             vec![vars[1], vars[2], vars[3], vars[4], vars[5], vars[6]]
         );
         // rules: 1 ↦ [r4], 2 ↦ [r6], 3 ↦ [r5], 4 ↦ [r5], 5 ↦ [r6], 6 ↦ [].
-        assert_eq!(st.rules[vars[1].index()], vec![RuleId(3)]);
-        assert_eq!(st.rules[vars[2].index()], vec![RuleId(5)]);
-        assert_eq!(st.rules[vars[3].index()], vec![RuleId(4)]);
-        assert_eq!(st.rules[vars[4].index()], vec![RuleId(4)]);
-        assert_eq!(st.rules[vars[5].index()], vec![RuleId(5)]);
-        assert!(st.rules[vars[6].index()].is_empty());
+        assert_eq!(st.rules_of(vars[1]), [RuleId(3)]);
+        assert_eq!(st.rules_of(vars[2]), [RuleId(5)]);
+        assert_eq!(st.rules_of(vars[3]), [RuleId(4)]);
+        assert_eq!(st.rules_of(vars[4]), [RuleId(4)]);
+        assert_eq!(st.rules_of(vars[5]), [RuleId(5)]);
+        assert!(st.rules_of(vars[6]).is_empty());
         assert_eq!(st.queue, vec![vars[1], vars[2], vars[3]]);
+    }
+
+    #[test]
+    fn occurrence_lists_are_in_rule_order_with_multiplicity() {
+        let mut f = HornFormula::new();
+        let a = f.fresh_var();
+        let b = f.fresh_var();
+        let c = f.fresh_var();
+        f.add_rule(c, &[a, b]);
+        f.add_fact(b);
+        f.add_rule(b, &[a, a]);
+        f.add_rule(c, &[b, a]);
+        let st = f.initial_state();
+        assert_eq!(st.rules_of(a), [RuleId(0), RuleId(2), RuleId(2), RuleId(3)]);
+        assert_eq!(st.rules_of(b), [RuleId(0), RuleId(3)]);
+        assert!(st.rules_of(c).is_empty());
+        assert_eq!(st.num_vars(), 3);
+        assert_eq!(st.size, vec![2, 0, 2, 2]);
+        assert_eq!(st.queue, vec![b]);
+    }
+
+    #[test]
+    fn append_rules_concatenates_columns() {
+        let mut part = HornFormula::new();
+        let v: Vec<Var> = (0..4).map(|_| part.fresh_var()).collect();
+        part.add_fact(v[0]);
+        part.add_rule(v[1], &[v[0], v[2]]);
+        part.add_rule(v[3], &[v[1]]);
+        let mut whole = HornFormula::new();
+        whole.ensure_vars(4);
+        whole.add_rule(v[2], &[v[3]]);
+        whole.append_rules(&part, 1..3);
+        whole.append_rules(&part, 0..1);
+        assert_eq!(whole.num_rules(), 4);
+        assert_eq!(whole.size(), 8);
+        let rules: Vec<(Var, Vec<Var>)> = (0..4)
+            .map(|i| (whole.head(RuleId(i)), whole.body(RuleId(i)).to_vec()))
+            .collect();
+        assert_eq!(
+            rules,
+            vec![
+                (v[2], vec![v[3]]),
+                (v[1], vec![v[0], v[2]]),
+                (v[3], vec![v[1]]),
+                (v[0], vec![]),
+            ]
+        );
     }
 
     #[test]

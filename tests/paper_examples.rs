@@ -38,7 +38,7 @@ fn example_3_3_minoux_trace() {
     let st = f.initial_state();
     assert_eq!(st.size, vec![0, 0, 0, 1, 2, 2]);
     assert_eq!(st.queue, vec![v[1], v[2], v[3]]);
-    assert_eq!(st.rules[v[1].index()], vec![RuleId(3)]);
+    assert_eq!(st.rules_of(v[1]), [RuleId(3)]);
     let sol = f.solve();
     assert_eq!(
         sol.derivation_order(),
